@@ -21,17 +21,20 @@
 // When the index comes up empty the map-wide brute-force tier is the
 // deterministic fallback.
 //
-// Tracked frames mirror the mapping tracker's nominal path: a constant-
-// velocity prior feeds the projection gate (built over the frozen
-// position SoA lanes), candidates are matched through the SIMD kernels on
-// the frozen descriptor planes, and the same RANSAC/retry/P3P ladder and
-// LM refinement run on the ARM side.  The prior is the *fresh* motion
-// model, not the mapping tier's two-frame-stale published slot — with no
-// device/ARM split per frame there is nothing to pre-publish for.
+// Matching, pose estimation and pose optimization are the shared
+// tracking core (slam/tracking_core.h) — the same code the mapping Tracker
+// runs, including its RANSAC/retry/P3P ladder and LM refinement.  What
+// differs is decided here: the gate prior is the *fresh* motion model, not
+// the mapping tier's two-frame-stale published slot (with no device/ARM
+// split per frame there is nothing to pre-publish for); the reloc tier
+// reads the FrozenMap's graph + index; an empty map means lost, not
+// bootstrap.  A localization session takes its tuning from the
+// TrackingOptions part of its SessionConfig::tracker; the defaults are the
+// mapping tracker's.
 //
 // Steady-state tracked frames are zero-heap-allocation: all per-frame
-// outputs live in recycled members, scratch comes from the per-frame
-// arena, and the frozen views are borrowed (asserted by
+// outputs live in one recycled FrameState, scratch comes from its arena,
+// and the frozen views are borrowed (asserted by
 // tests/runtime/steady_state_alloc_test.cpp).  Cold-start / reloc frames
 // may allocate, matching the tracker's documented exemption.
 //
@@ -44,45 +47,12 @@
 
 #include <memory>
 
-#include "core/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "slam/frozen_map.h"
-#include "slam/match_gate.h"
-#include "slam/ransac.h"
-#include "slam/tracker.h"
+#include "slam/tracking_core.h"
 
 namespace eslam {
-
-// Mirrors the TrackerOptions the localization path consumes; defaults are
-// identical so a localizer behaves like the tracker that built the map.
-struct LocalizerOptions {
-  LocalizerOptions() {
-    // Same RANSAC operating point as TrackerOptions (see its constructor
-    // comment): more draws for low-inlier frames, 4 px to absorb pyramid
-    // quantization.
-    ransac.max_iterations = 256;
-    ransac.inlier_threshold_px = 4.0;
-  }
-
-  MatcherOptions matcher;
-  // Gated-vs-brute-force tier selection (slam/match_gate.h).
-  MatchPolicy match;
-  // Cold-start / post-loss recovery knobs: index trust, neighbourhood
-  // matching, the verification matcher, absolute inlier gate and pose
-  // plausibility gate.  min_lost_frames is ignored (see file comment).
-  RelocOptions reloc;
-  RansacOptions ransac;
-  PnpOptions pose_optimization{/*max_iterations=*/15,
-                               /*initial_lambda=*/1e-4,
-                               /*huber_delta=*/2.5,
-                               /*convergence_step=*/1e-8};
-  int min_tracked_inliers = 10;
-  double min_inlier_ratio = 0.2;
-  int strong_consensus_inliers = 400;
-  bool use_motion_model = true;
-  bool relocalize_with_p3p = true;
-};
 
 class Localizer {
  public:
@@ -90,7 +60,7 @@ class Localizer {
   // intrinsics) — frames fed here must match it.
   Localizer(std::shared_ptr<const FrozenMap> map,
             std::unique_ptr<FeatureBackend> backend,
-            const LocalizerOptions& options = {});
+            const TrackingOptions& options = {});
 
   // One frame through FE -> FM -> PE -> PO (no MU).  TrackResult fields
   // that only map updating produces (keyframe, prune/cull counts,
@@ -124,36 +94,16 @@ class Localizer {
   const PinholeCamera& camera() const { return map_->camera(); }
 
  private:
-  void match(TrackResult& result);
-  bool match_against_reloc_index(std::span<const Descriptor256> query,
-                                 double& match_ms);
-  void estimate_pose(TrackResult& result);
-  void optimize_pose(TrackResult& result);
-  SE3 predicted_pose_cw() const;
-
   std::shared_ptr<const FrozenMap> map_;
   std::unique_ptr<FeatureBackend> backend_;
-  LocalizerOptions options_;
+  TrackingOptions options_;
 
-  // Pose state (the tracker's, minus everything map-writing).
-  SE3 last_pose_cw_;
-  SE3 prev_pose_cw_;
-  bool have_velocity_ = false;
+  MotionModel motion_;
   bool tracking_ = false;
   int frames_processed_ = 0;
-
-  // Recycled per-frame storage — the FrameState fields the localization
-  // stages use, owned directly since frames never cross a lane boundary.
-  FeatureList features_;
-  std::vector<Match> matches_;
-  MatchTier match_tier_ = MatchTier::kBruteForce;
-  std::vector<Vec3> reloc_positions_;
-  SE3 reloc_reference_cw_;
-  GateResult gate_;
-  std::vector<Correspondence> correspondences_;
-  RansacResult ransac_;
-  RansacResult ransac_retry_;
-  Arena arena_;  // reset once per frame
+  // Recycled per-frame storage (frames never cross a lane boundary here);
+  // input images are read straight from the caller's FrameInput.
+  FrameState frame_;
 
   LocalizerObs obs_;
 };

@@ -16,62 +16,6 @@ namespace {
 std::atomic<int> g_mapping_session_ordinal{0};
 }  // namespace
 
-SoftwareBackend::SoftwareBackend(const OrbConfig& orb,
-                                 const MatcherOptions& matcher)
-    : extractor_(orb), matcher_options_(matcher) {}
-
-FeatureList SoftwareBackend::extract(const ImageU8& image) {
-  const WallTimer timer;
-  FeatureList features = extractor_.extract(image);
-  extract_ms_.store(timer.elapsed_ms());
-  return features;
-}
-
-std::vector<Match> SoftwareBackend::match(
-    std::span<const Descriptor256> queries,
-    std::span<const Descriptor256> train) {
-  const WallTimer timer;
-  std::vector<Match> matches = match_descriptors(queries, train,
-                                                 matcher_options_);
-  match_ms_.store(timer.elapsed_ms());
-  return matches;
-}
-
-std::vector<Match> SoftwareBackend::match_candidates(
-    std::span<const Descriptor256> queries,
-    std::span<const Descriptor256> train, const CandidateSet& candidates) {
-  const WallTimer timer;
-  std::vector<Match> matches =
-      eslam::match_candidates(queries, train, candidates, matcher_options_);
-  match_ms_.store(timer.elapsed_ms());
-  return matches;
-}
-
-void SoftwareBackend::extract_into(const ImageU8& image, FeatureList& out) {
-  const WallTimer timer;
-  extractor_.extract_into(image, out);
-  extract_ms_.store(timer.elapsed_ms());
-}
-
-void SoftwareBackend::match_into(std::span<const Feature> queries,
-                                 const TrainView& train, Arena* scratch,
-                                 std::vector<Match>& out) {
-  const WallTimer timer;
-  match_descriptors_into(queries, train, matcher_options_, scratch, out);
-  match_ms_.store(timer.elapsed_ms());
-}
-
-void SoftwareBackend::match_candidates_into(std::span<const Feature> queries,
-                                            const TrainView& train,
-                                            const CandidateSet& candidates,
-                                            Arena* scratch,
-                                            std::vector<Match>& out) {
-  const WallTimer timer;
-  eslam::match_candidates_into(queries, train, candidates, matcher_options_,
-                               scratch, out);
-  match_ms_.store(timer.elapsed_ms());
-}
-
 Tracker::Tracker(const PinholeCamera& camera,
                  std::unique_ptr<FeatureBackend> backend,
                  const TrackerOptions& options)
@@ -174,12 +118,6 @@ std::size_t Tracker::insert_map_points(
   return backend::run_map_maintenance(map_, fs.index, options_.lifecycle);
 }
 
-SE3 Tracker::predicted_pose_cw() const {
-  if (!options_.use_motion_model || !have_velocity_) return last_pose_cw_;
-  // Constant velocity: T(t+1) ~ [T(t) T(t-1)^-1] T(t).
-  return (last_pose_cw_ * prev_pose_cw_.inverse()) * last_pose_cw_;
-}
-
 void Tracker::publish_gate_prior(const FrameState& fs) {
   lost_streak_ = fs.result.lost ? lost_streak_ + 1 : 0;
   const std::int64_t for_frame = fs.index + 2;
@@ -187,14 +125,9 @@ void Tracker::publish_gate_prior(const FrameState& fs) {
   SE3 pose_cw;
   if (!fs.result.lost) {
     valid = true;
-    if (options_.use_motion_model && have_velocity_) {
-      // Double-step constant velocity: the target frame is two frames
-      // ahead of the pose this publication is based on.
-      const SE3 step = last_pose_cw_ * prev_pose_cw_.inverse();
-      pose_cw = step * (step * last_pose_cw_);
-    } else {
-      pose_cw = last_pose_cw_;
-    }
+    // Double-step constant velocity: the target frame is two frames ahead
+    // of the pose this publication is based on.
+    pose_cw = motion_.predict(options_.use_motion_model, /*steps=*/2);
   }
   // else: no trustworthy pose — published as invalid, which routes the
   // target frame into the relocalization tier.
@@ -261,30 +194,7 @@ FrameState Tracker::acquire_frame() {
       frame_pool_.pop_back();
     }
   }
-  // Reset per-frame state, keeping every container's capacity.
-  fs.features.clear();
-  fs.matches.clear();
-  fs.match_tier = MatchTier::kBruteForce;
-  fs.map_epoch = 0;
-  fs.view.reset();  // release the borrowed map view (refcount only)
-  fs.bootstrap = false;
-  fs.reloc_positions.clear();
-  fs.reloc_reference_cw = SE3{};
-  fs.ransac.pose = SE3{};
-  fs.ransac.inliers.clear();
-  fs.ransac.success = false;
-  fs.ransac.iterations = 0;
-  fs.ransac_retry.inliers.clear();
-  fs.correspondences.clear();
-  fs.gate.candidates.indices.clear();
-  fs.gate.candidates.offsets.clear();
-  fs.gate.projected = 0;
-  fs.gate.build_ms = 0;
-  fs.result = TrackResult{};
-  if (fs.arena)
-    fs.arena->reset();
-  else
-    fs.arena = std::make_unique<Arena>();
+  fs.reset();
   return fs;
 }
 
@@ -312,8 +222,6 @@ void Tracker::extract(FrameState& fs) {
 }
 
 void Tracker::match(FrameState& fs) {
-  ESLAM_TRACE_SCOPE(obs_.device_track, "FM");
-  // --- Feature matching (FPGA in the paper) ------------------------------
   // Wait-free against update_map()'s structural writes: the matcher
   // borrows the map's current published MapReadView (one atomic refcount
   // acquisition — no lock any writer can hold) and reads only through it
@@ -321,148 +229,28 @@ void Tracker::match(FrameState& fs) {
   // frozen; the epoch recorded below detects it, and a replay simply
   // overwrites the previous matches against a fresh borrow.
   fs.view = map_.read_view();
-  const MapReadView& view = *fs.view;
-  fs.map_epoch = view.epoch();
-  fs.matches.clear();
-  fs.reloc_positions.clear();
-  fs.match_tier = MatchTier::kBruteForce;
-  if (view.empty()) {
-    // Nothing to match against — the frame will bootstrap the map.
-    fs.result.times.feature_matching = 0.0;
-    fs.result.n_matches = 0;
-    return;
-  }
-  // Queries go to the backend as the features themselves (no per-frame
-  // descriptor staging copy); the train side is the view's AoS span plus
-  // its SoA word-plane mirror, both frozen for the duration of this
-  // stage (and beyond, for as long as fs.view is held).
-  const TrainView train{view.descriptors(), &view.descriptor_soa()};
-
+  fs.map_epoch = fs.view->epoch();
   const GatePrior prior = gate_prior_for(fs.index);
-
-  // Tier one: projection-gated candidate search, when the policy allows,
-  // the map is big enough to be worth gating, and a prior was published
-  // for this frame (none right after bootstrap or a tracking loss).
-  double match_ms = 0.0;
-  bool gated = false;
-  if (options_.match.use_gate && prior.pose_cw &&
-      static_cast<int>(view.size()) >= options_.match.min_map_points_for_gate) {
-    build_candidate_set_into(view.xs(), view.ys(), view.zs(), *prior.pose_cw,
-                             camera_, fs.features, options_.match,
-                             fs.arena.get(), fs.gate);
-    backend_->match_candidates_into(fs.features, train, fs.gate.candidates,
-                                    fs.arena.get(), fs.matches);
-    match_ms += fs.gate.build_ms + backend_->last_match_time_ms();
-    const int required = std::max(
-        options_.match.min_gated_matches,
-        static_cast<int>(std::ceil(options_.match.min_gated_match_fraction *
-                                   static_cast<double>(fs.features.size()))));
-    if (static_cast<int>(fs.matches.size()) >= required) gated = true;
-    // else: too few matches survived — the prior is likely wrong (fast
-    // motion beyond the window, viewpoint jump), so fall through to the
-    // full-map tier (which overwrites fs.matches).
+  // Relocalization tier: the publishing frame retired *lost* (so there is
+  // no gate prior) persistently enough that its motion prior is stale.
+  // This is the one read path that still locks (graph_mutex_, shared —
+  // the graph/index have no published views), and it only runs on
+  // persistently-lost frames, never in steady state.
+  std::shared_lock glock(graph_mutex_, std::defer_lock);
+  const RelocSource reloc{kf_graph_, kf_index_};
+  const bool may_reloc = prior.lost &&
+                         prior.lost_streak >= options_.reloc.min_lost_frames &&
+                         options_.backend.enabled &&
+                         tracking::reloc_eligible(fs, options_);
+  if (may_reloc && !glock.try_lock()) {
+    // A keyframe insert / loop rebase holds the graph exclusively right
+    // now — the only remaining way a reader waits on a map writer.
+    map_reader_stalls_total_->add(1);
+    glock.lock();
   }
-  // Relocalization tier: the publishing frame retired *lost*, so there is
-  // no pose to gate with — recognize where we are instead.  Query the
-  // keyframe index, match only against the best keyframe's local
-  // neighbourhood, and leave P3P to estimate_pose(); the map-wide brute
-  // force below is demoted to the deterministic fallback for when
-  // recognition comes up empty.  This is the one read path that still
-  // locks (graph_mutex_, shared — the graph/index have no published
-  // views), and it only runs on persistently-lost frames, never in
-  // steady state.
-  bool relocated = false;
-  if (!gated && prior.lost &&
-      prior.lost_streak >= options_.reloc.min_lost_frames &&
-      options_.backend.enabled && options_.reloc.use_index &&
-      static_cast<int>(fs.features.size()) >= options_.reloc.min_matches) {
-    std::shared_lock glock(graph_mutex_, std::try_to_lock);
-    if (!glock.owns_lock()) {
-      // A keyframe insert / loop rebase holds the graph exclusively right
-      // now — the only remaining way a reader waits on a map writer.
-      map_reader_stalls_total_->add(1);
-      glock.lock();
-    }
-    if (static_cast<int>(kf_graph_.size()) >= options_.reloc.min_keyframes) {
-      // (A frame without enough features — a dropout/blank — cannot
-      // relocalize by any tier; it is not counted as an attempt.)
-      fs.result.reloc_attempted = true;
-      // Relocalization is a rare, off-schedule path: the descriptor
-      // staging copy the index query needs is allocated here, not on
-      // every frame.
-      std::vector<Descriptor256> query;
-      query.reserve(fs.features.size());
-      for (const Feature& f : fs.features) query.push_back(f.descriptor);
-      relocated = match_against_reloc_index(fs, query, match_ms);
-    }
-  }
-  // Fallback tier: full-map brute force (bootstrap-adjacent frames,
-  // post-loss frames without a usable index, small maps, gate/reloc
-  // fallback).
-  if (!gated && !relocated) {
-    backend_->match_into(fs.features, train, fs.arena.get(), fs.matches);
-    match_ms += backend_->last_match_time_ms();
-  }
-  fs.match_tier = gated ? MatchTier::kGated
-                : relocated ? MatchTier::kRelocIndex
-                            : MatchTier::kBruteForce;
-  fs.result.match_tier = fs.match_tier;
-  fs.result.times.feature_matching = match_ms;
-  fs.result.n_matches = static_cast<int>(fs.matches.size());
-  obs_.stage_fm->record(match_ms);
-}
-
-bool Tracker::match_against_reloc_index(FrameState& fs,
-                                        std::span<const Descriptor256> query,
-                                        double& match_ms) {
-  const std::vector<backend::KeyframeScore> ranked =
-      kf_index_.query(query, options_.reloc.max_candidates);
-  for (const backend::KeyframeScore& hit : ranked) {
-    if (!kf_graph_.contains(hit.keyframe_id)) continue;
-    // The candidate's local place: the keyframe plus its top covisible
-    // neighbours.
-    const std::vector<int> hood =
-        kf_graph_.neighbourhood(hit.keyframe_id, options_.reloc.neighbourhood);
-    // The neighbourhood's observations ARE the recovery substrate: the
-    // 3D side is each observation's own depth unprojection lifted by its
-    // keyframe pose — drift-consistent, immune to map pruning, and
-    // O(window) to assemble.
-    const std::vector<backend::KeyframeGraph::PlaceObservation> place =
-        kf_graph_.place_observations(hood);
-    std::vector<Descriptor256> subset;
-    std::vector<std::int32_t> map_index;  // live map index or -1
-    subset.reserve(place.size());
-    map_index.reserve(place.size());
-    for (const auto& obs : place) {
-      subset.push_back(obs.descriptor);
-      // Id lookup against the borrowed view, not the live map: the match
-      // train indices must be consistent with the epoch fs carries.
-      const auto index = fs.view->index_of(obs.point_id);
-      map_index.push_back(index ? static_cast<std::int32_t>(*index) : -1);
-    }
-    if (static_cast<int>(subset.size()) < options_.reloc.min_matches)
-      continue;
-    // Verification-grade matching (see RelocOptions::matcher), host-side
-    // like the loop job's — the fabric's bulk matcher has no precision
-    // knobs, and a lost session is off the nominal fabric schedule anyway.
-    const WallTimer reloc_timer;
-    std::vector<Match> matches =
-        match_descriptors(query, subset, options_.reloc.matcher);
-    match_ms += reloc_timer.elapsed_ms();
-    if (static_cast<int>(matches.size()) < options_.reloc.min_matches)
-      continue;  // recognition was wrong for this hit; try the next one
-    fs.reloc_positions.clear();
-    fs.reloc_positions.reserve(matches.size());
-    for (Match& m : matches) {
-      fs.reloc_positions.push_back(
-          place[static_cast<std::size_t>(m.train)].position_w);
-      m.train = map_index[static_cast<std::size_t>(m.train)];
-    }
-    fs.matches = std::move(matches);
-    fs.reloc_reference_cw = kf_graph_.keyframe(hit.keyframe_id).pose_cw;
-    return true;
-  }
-  return false;
+  if (tracking::match_frame(fs, *backend_, camera_, options_, prior.pose_cw,
+                            may_reloc ? &reloc : nullptr, obs_.device_track))
+    obs_.stage_fm->record(fs.result.times.feature_matching);
 }
 
 void Tracker::estimate_pose(FrameState& fs) {
@@ -474,112 +262,13 @@ void Tracker::estimate_pose(FrameState& fs) {
   }
   ESLAM_ASSERT(matches_current(fs),
                "stale matches: match() must be replayed after a key frame");
-
-  // --- Pose estimation: PnP + RANSAC (ARM) -------------------------------
-  ESLAM_TRACE_SCOPE(obs_.arm_track, "PE");
-  WallTimer pe_timer;
-  fs.correspondences.clear();
-  fs.correspondences.reserve(fs.matches.size());
-  const bool reloc = fs.match_tier == MatchTier::kRelocIndex;
-  for (std::size_t i = 0; i < fs.matches.size(); ++i) {
-    const Match& m = fs.matches[i];
-    const Feature& f = fs.features[static_cast<std::size_t>(m.query)];
-    // Reloc matches carry their own 3D (keyframe-observation geometry);
-    // map matches read the borrowed view's frozen position column (same
-    // values the matches were computed against — the epoch assert above
-    // guarantees the live map agrees).
-    fs.correspondences.push_back(Correspondence{
-        reloc ? fs.reloc_positions[i]
-              : fs.view->position(static_cast<std::size_t>(m.train)),
-        Vec2{f.keypoint.x0(), f.keypoint.y0()}});
-  }
-  // Relocalization matches cover only the recognized neighbourhood, so
-  // the acceptance gate is absolute (see RelocOptions::min_inliers); the
-  // ratio gate below assumes the map-wide match set.
-  const int required_inliers =
-      fs.match_tier == MatchTier::kRelocIndex
-          ? std::max(options_.min_tracked_inliers,
-                     options_.reloc.min_inliers)
-          : std::max(options_.min_tracked_inliers,
-                     std::min(options_.strong_consensus_inliers,
-                              static_cast<int>(
-                                  options_.min_inlier_ratio *
-                                  static_cast<double>(
-                                      fs.correspondences.size()))));
-  const SE3 prior = predicted_pose_cw();
-  ransac_pnp_into(fs.correspondences, camera_, prior, options_.ransac,
-                  fs.arena.get(), fs.ransac);
-  if (!fs.ransac.success ||
-      static_cast<int>(fs.ransac.inliers.size()) < required_inliers) {
-    // Retry once from the raw previous pose: the velocity extrapolation
-    // itself can be the problem after an abrupt motion change, and a
-    // low-consensus "success" is often a degenerate pose on repetitive
-    // texture rather than the true one.
-    if (options_.use_motion_model && have_velocity_) {
-      ransac_pnp_into(fs.correspondences, camera_, last_pose_cw_,
-                      options_.ransac, fs.arena.get(), fs.ransac_retry);
-      if (fs.ransac_retry.inliers.size() > fs.ransac.inliers.size())
-        std::swap(fs.ransac, fs.ransac_retry);
-    }
-  }
-  if (options_.relocalize_with_p3p &&
-      (!fs.ransac.success ||
-       static_cast<int>(fs.ransac.inliers.size()) < required_inliers)) {
-    // Relocalization: closed-form P3P hypotheses need no pose prior.
-    RansacOptions reloc_opts = options_.ransac;
-    reloc_opts.use_p3p = true;
-    ransac_pnp_into(fs.correspondences, camera_, SE3{}, reloc_opts,
-                    fs.arena.get(), fs.ransac_retry);
-    if (fs.ransac_retry.inliers.size() > fs.ransac.inliers.size())
-      std::swap(fs.ransac, fs.ransac_retry);
-  }
-  fs.result.times.pose_estimation = pe_timer.elapsed_ms();
+  tracking::estimate_pose(fs, camera_, options_, motion_, obs_.arm_track);
   obs_.stage_pe->record(fs.result.times.pose_estimation);
-  fs.result.n_inliers = static_cast<int>(fs.ransac.inliers.size());
-  if (reloc && fs.ransac.success) {
-    // Plausibility: the recovered camera must be where the recognized
-    // keyframe's scene is visible from.  A wrong-place consensus (large
-    // on repetitive texture) that slips through would seed phantom map
-    // geometry that every later recovery compounds.
-    const Vec3 centre = fs.ransac.pose.inverse().translation();
-    const Vec3 reference = fs.reloc_reference_cw.inverse().translation();
-    const double distance = (centre - reference).norm();
-    const double rotation =
-        fs.ransac.pose.rotation_angle(fs.reloc_reference_cw);
-    // Written as accept-only-when-provably-plausible: a NaN pose (a
-    // degenerate refit can produce one) must fail this gate, and NaN
-    // fails every comparison.
-    if (!(distance <= options_.reloc.max_distance_m &&
-          rotation <= options_.reloc.max_rotation_rad))
-      fs.ransac.success = false;
-  }
-  if (!fs.ransac.success || fs.result.n_inliers < required_inliers) {
-    // Lost: keep the previous pose; update_map() drops the velocity.
-    fs.result.lost = true;
-    fs.result.pose_cw = last_pose_cw_;
-    fs.result.pose_wc = last_pose_cw_.inverse();
-  }
 }
 
 void Tracker::optimize_pose(FrameState& fs) {
-  if (fs.bootstrap || fs.result.lost) return;
-
-  // --- Pose optimization: LM on inlier reprojection error (ARM) ----------
-  ESLAM_TRACE_SCOPE(obs_.arm_track, "PO");
-  WallTimer po_timer;
-  if (!fs.arena) fs.arena = std::make_unique<Arena>();
-  const ArenaScope scope(*fs.arena);
-  std::span<Correspondence> inlier_set =
-      fs.arena->alloc_span<Correspondence>(fs.ransac.inliers.size());
-  std::size_t k = 0;
-  for (int idx : fs.ransac.inliers)
-    inlier_set[k++] = fs.correspondences[static_cast<std::size_t>(idx)];
-  const PnpResult optimized = solve_pnp(inlier_set, camera_, fs.ransac.pose,
-                                        options_.pose_optimization);
-  fs.result.times.pose_optimization = po_timer.elapsed_ms();
-  obs_.stage_po->record(fs.result.times.pose_optimization);
-  fs.result.pose_cw = optimized.pose;
-  fs.result.pose_wc = optimized.pose.inverse();
+  if (tracking::optimize_pose(fs, camera_, options_, obs_.arm_track))
+    obs_.stage_po->record(fs.result.times.pose_optimization);
 }
 
 TrackResult Tracker::update_map(FrameState& fs) {
@@ -596,14 +285,14 @@ TrackResult Tracker::update_map(FrameState& fs) {
       // keep reading whichever view they borrowed.
       const std::unique_lock lock(graph_mutex_);
       bootstrap_map(fs, backend_on ? &observations : nullptr);
-      last_pose_cw_ = SE3{};
+      motion_.last_pose_cw = SE3{};
       if (backend_on && !fs.result.lost)
         new_kf = backend_insert_keyframe(fs, std::move(observations));
     }
     if (new_kf >= 0) backend_freeze_jobs(new_kf, fs);
   } else if (fs.result.lost) {
     // Drop the (now unreliable) velocity estimate; the map is untouched.
-    have_velocity_ = false;
+    motion_.drop_velocity();
   } else {
     // The keyframe decision only needs the final pose; taking it first
     // lets non-keyframes (the common case) skip the backend observation
@@ -680,13 +369,9 @@ TrackResult Tracker::update_map(FrameState& fs) {
     // A post-loss frame that reached here recovered a pose — that is the
     // relocalization the stats and server events report.
     fs.result.relocalized = fs.result.reloc_attempted;
-    prev_pose_cw_ = last_pose_cw_;
-    last_pose_cw_ = fs.result.pose_cw;
-    // After a relocalization the pre-loss pose pair is meaningless as a
-    // velocity estimate (the camera may have recovered anywhere); restart
-    // the motion model from the recovered pose alone.  Backend-off runs
-    // never set reloc_attempted, so their trajectories are untouched.
-    have_velocity_ = !fs.result.reloc_attempted;
+    // Backend-off runs never set reloc_attempted, so their motion model
+    // never restarts here.
+    motion_.commit(fs.result.pose_cw, fs.result.reloc_attempted);
   }
 
   // Publish the matching gate's prior for frame index + 2 before this
@@ -1048,14 +733,11 @@ void Tracker::apply_pending_backend_deltas(FrameState& fs) {
       // live end of the map received, so the very next projection of the
       // corrected map is unchanged.  For a camera pose (world-to-camera)
       // the rebase is pose_cw' = pose_cw * adjust^{-1}; for a camera-in-
-      // world reference it is pose_wc' = adjust * pose_wc.  The velocity
-      // last * prev^{-1} is invariant (the adjusts cancel), so the motion
-      // model carries straight through the correction.
+      // world reference it is pose_wc' = adjust * pose_wc.
       const SE3 adjust_inv = outcome.loop_adjust.inverse();
       fs.result.pose_cw = fs.result.pose_cw * adjust_inv;
       fs.result.pose_wc = fs.result.pose_cw.inverse();
-      last_pose_cw_ = last_pose_cw_ * adjust_inv;
-      prev_pose_cw_ = prev_pose_cw_ * adjust_inv;
+      motion_.rebase(adjust_inv);
       keyframe_policy_.rebase(outcome.loop_adjust);
       fs.result.loop_closed = true;
       loop_cooldown_until_ = fs.index + options_.backend.loop.cooldown_frames;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/eslam.h"
@@ -140,24 +142,53 @@ TEST(PipelineExecutor, DeliversResultsInFeedOrderAndSurvivesDrain) {
 
 // --- keyframe barrier -----------------------------------------------------
 
-// Slows the ARM lane far below the FPGA lane so FM of frame N+1 is always
-// ready while frame N is still in pose estimation: speculation must kick
-// in, and every key frame must force a replay behind its map update.
-TrackerOptions slow_arm_options() {
+// Many key frames (and thus many barrier/replay events) in few frames.
+TrackerOptions keyframe_dense_options() {
   TrackerOptions opts;
-  // Pin RANSAC to a fixed, large iteration count: min == max defeats the
-  // adaptive stop and an unreachable early-exit share defeats the early
-  // exit, so pose estimation dominates every frame.  The count must make
-  // PE clearly slower than software FE + 2x FM (~300 ms here), or the
-  // FPGA lane becomes the bottleneck and never speculates.
-  opts.ransac.max_iterations = 12000;
-  opts.ransac.min_iterations = 12000;
-  opts.ransac.early_exit_ratio = 1.1;
-  // More key frames (and thus more barrier/replay events) in few frames.
   opts.keyframe.translation_threshold = 0.05;
   opts.keyframe.rotation_threshold = 5.0 * M_PI / 180.0;
   return opts;
 }
+
+// Forces the overlap the barrier test needs by construction instead of by
+// relative lane speeds: the ARM lane holds frame N between pose estimation
+// and pose optimization until the device lane has finished FM of frame
+// N+1.  Frame N cannot retire before that FM, so the FM is always
+// speculative, and every key frame's map update must replay it.  Runs as
+// the session's StagePacer — called after each stage on the lane that ran
+// it — and pads nothing.
+class OverlapLatch {
+ public:
+  explicit OverlapLatch(int frames) : frames_(frames) {}
+
+  StagePacer pacer() {
+    return [this](PipeStage stage) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (stage == PipeStage::kFeatureExtraction) {
+        ++extracted_;
+      } else if (stage == PipeStage::kFeatureMatching) {
+        // The device lane finishes all FM of a frame before extracting the
+        // next one, so FM belongs to the last extracted frame.
+        matched_through_ = extracted_ - 1;
+        cv_.notify_all();
+      } else if (stage == PipeStage::kPoseEstimation) {
+        // ARM stages of one session run in frame order.
+        const int next = ++estimated_;
+        if (next < frames_)
+          cv_.wait(lock, [&] { return matched_through_ >= next; });
+      }
+      return 0.0;
+    };
+  }
+
+ private:
+  const int frames_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int extracted_ = 0;
+  int matched_through_ = -1;
+  int estimated_ = 0;
+};
 
 TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   // Dense enough sampling that the room sweep stays trackable (see the
@@ -166,15 +197,23 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   SequenceOptions opts;
   opts.frames = 36;
   const SyntheticSequence seq(SequenceId::kFr1Room, opts);
-  SystemConfig cfg = pipelined_config(Platform::kSoftware);
-  cfg.tracker = slow_arm_options();
-  System slam(seq.camera(), cfg);
-
-  const std::vector<TrackResult> results =
-      run_streaming(slam, seq, opts.frames);
+  const TrackerOptions tracker_options = keyframe_dense_options();
+  Tracker tracker(seq.camera(),
+                  std::make_unique<SoftwareBackend>(OrbConfig{},
+                                                    tracker_options.matcher),
+                  tracker_options);
+  // The single-stream pipeline (one device lane, one ARM worker) with the
+  // latch as its pacer.
+  OverlapLatch latch(opts.frames);
+  SchedulerSessionOptions session_options;
+  session_options.pacer = latch.pacer();
+  TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler.add_session(tracker, session_options);
+  for (int i = 0; i < opts.frames; ++i) scheduler.feed(session, seq.frame(i));
+  const std::vector<TrackResult> results = scheduler.drain(session);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(opts.frames));
 
-  const std::vector<StageEvent> events = slam.pipeline()->stage_events();
+  const std::vector<StageEvent> events = scheduler.stage_events(session);
   auto find_event = [&](int frame, PipeStage stage) -> const StageEvent* {
     // The authoritative run is the last non-speculative event of a stage.
     const StageEvent* found = nullptr;
@@ -200,10 +239,10 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   ASSERT_GE(keyframes_with_successor, 1);  // bootstrap at minimum
   ASSERT_GE(late_keyframes, 1);  // the replay path is actually exercised
 
-  // With the ARM lane this slow the FPGA lane always runs ahead: frames
-  // after a slow PE speculate their match, and every late key frame's
-  // successor must have been replayed behind the map update.
-  const PipelineStats stats = slam.pipeline()->stats();
+  // The latch makes the FPGA lane always run ahead: every frame's match
+  // is speculated, and every late key frame's successor must have been
+  // replayed behind the map update.
+  const PipelineStats stats = scheduler.stats(session);
   EXPECT_GT(stats.speculative_matches, 0);
   EXPECT_GE(stats.replayed_matches, late_keyframes);
   EXPECT_LE(stats.replayed_matches, stats.speculative_matches);
