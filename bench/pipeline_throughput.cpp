@@ -1,6 +1,7 @@
 // Measured counterpart of Figure 7 / Table 3: runs the same synthetic
 // sequence through the sequential schedule and through the concurrent
-// pipeline runtime (runtime/PipelineExecutor), and prints measured
+// pipeline runtime (runtime/TrackerScheduler with one session on a
+// one-worker pool — the single-camera stream), and prints measured
 // per-frame latency/throughput side-by-side with the analytic
 // pipeline_timeline model fed with the measured stage durations.
 //
@@ -27,7 +28,7 @@
 
 #include "bench_util.h"
 #include "obs/trace.h"
-#include "runtime/pipeline_executor.h"
+#include "runtime/tracker_scheduler.h"
 
 namespace {
 
@@ -182,15 +183,16 @@ int main() {
 
   // --- pipelined run ------------------------------------------------------
   auto pipelined = make_tracker();
-  PipelineExecutor executor(*pipelined, PipelineOptions{});
+  TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler.add_session(*pipelined);
   const WallTimer pipe_timer;
-  for (const FrameInput& f : frames) executor.feed(f);
-  const std::vector<TrackResult> results = executor.drain();
+  for (const FrameInput& f : frames) scheduler.feed(session, f);
+  const std::vector<TrackResult> results = scheduler.drain(session);
   const double pipe_wall_ms = pipe_timer.elapsed_ms();
 
-  const std::vector<StageEvent> events = executor.stage_events();
+  const std::vector<StageEvent> events = scheduler.stage_events(session);
   const std::map<int, FrameEvents> by_frame = index_events(events);
-  const PipelineStats stats = executor.stats();
+  const PipelineStats stats = scheduler.stats(session);
 
   // Steady-state per-frame latency: retire-to-retire interval, attributed
   // to the frame that retires.  Skip the two warmup frames.
@@ -291,11 +293,12 @@ int main() {
     const bool was = obs::trace_enabled();
     obs::set_trace_enabled(tracing_on);
     auto tracker = make_tracker();
-    PipelineExecutor ex(*tracker, PipelineOptions{});
-    for (const FrameInput& f : frames) ex.feed(f);
-    ex.drain();
+    TrackerScheduler ts(SchedulerOptions{/*arm_workers=*/1});
+    const SessionRef s = ts.add_session(*tracker);
+    for (const FrameInput& f : frames) ts.feed(s, f);
+    ts.drain(s);
     obs::set_trace_enabled(was);
-    const std::map<int, FrameEvents> bf = index_events(ex.stage_events());
+    const std::map<int, FrameEvents> bf = index_events(ts.stage_events(s));
     std::vector<double> ps;
     for (int n = 2; n < opts.frames; ++n)
       ps.push_back(bf.at(n).mu->end_ms - bf.at(n - 1).mu->end_ms);

@@ -1,9 +1,9 @@
 // Lane abstraction shared by the Figure-7 runtime: which heterogeneous
 // unit executes a stage (the simulated FPGA fabric vs the ARM host), the
 // five pipeline stages, the timestamped stage-event record, and the
-// per-stream occupancy/progress statistics.  Both the single-stream
-// PipelineExecutor and the multi-session TrackerScheduler speak in these
-// terms, so stage logs from either are directly comparable.
+// per-session occupancy/progress statistics.  TrackerScheduler records
+// its schedule in these terms, and SlamService hands them to clients
+// unchanged.
 #pragma once
 
 namespace eslam {
@@ -33,10 +33,10 @@ struct StageEvent {
   bool speculative = false;
 };
 
-// Per-stream progress and lane-occupancy statistics.  For a
-// PipelineExecutor this covers its single stream; for a TrackerScheduler
-// session it covers that session only (lane busy-ms are the shared lane's
-// time spent on *this* stream's stages).
+// Per-session progress and lane-occupancy statistics (lane busy-ms are
+// the shared lane's time spent on *this* session's stages).  Map
+// maintenance totals and tier-wide maxima live in the metrics registry
+// (obs/metrics.h), not here.
 struct PipelineStats {
   int frames_fed = 0;
   int frames_retired = 0;       // through map updating / commit
@@ -57,23 +57,13 @@ struct PipelineStats {
   int backend_deltas_applied = 0; // deltas folded into the map at keyframes
   double backend_busy_ms = 0;     // summed job wall time (pool occupancy)
   // Queue latency per class: time from freeze-enqueue to a worker pop.
-  // Averages are <sum>/<class job count>; the max shows the worst stall a
-  // loop verification ate behind tracking work + queued BA.
+  // Averages are <sum>/<class job count>.
   double backend_ba_queue_ms = 0;
   double backend_loop_queue_ms = 0;
-  double backend_loop_queue_max_ms = 0;
-  // Most backend jobs simultaneously running on the pool — scheduler-wide
-  // (not per session): the witness that disjoint shards overlap in time.
-  int backend_concurrent_hwm = 0;
-  // Map maintenance visibility, accumulated from retired TrackResults:
-  long long points_pruned = 0;        // age-pruned by map updating
-  long long backend_points_culled = 0;  // removed by BA (bad geometry)
-  long long backend_points_fused = 0;   // removed by BA (duplicates)
 
   // Recovery/correction visibility, accumulated from retired TrackResults
   // (a lost tracker used to burn full-map matches with no signal here):
   int reloc_attempts = 0;   // post-loss frames that engaged the index tier
-  int reloc_succeeded = 0;  // ...that recovered a pose
   int reloc_fallbacks = 0;  // ...where the index came up empty and the
                             //    map-wide brute force ran instead
   int loops_closed = 0;     // frames whose map update applied a verified

@@ -120,8 +120,7 @@ std::uint64_t user_signal_snapshot(SchedulerSession& s) {
 TrackerScheduler::TrackerScheduler(const SchedulerOptions& options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      backend_q_(std::max(1, options.backend_queue_capacity),
-                 options.backend_priority) {
+      backend_q_(std::max(1, options.backend_queue_capacity)) {
   const int workers = std::max(1, options_.arm_workers);
   // Resource-row trace tracks (one "scheduler" process: the shared device
   // lane plus each pool worker) and the scheduler-wide metrics.  All cold:
@@ -400,7 +399,6 @@ PipelineStats TrackerScheduler::stats(const SessionRef& session) const {
   }
   out.frames_retired = session->frames_retired.load();
   out.wall_ms = now_ms();
-  out.backend_concurrent_hwm = backend_concurrent_high_water();
   return out;
 }
 
@@ -503,8 +501,7 @@ bool TrackerScheduler::device_step(const SessionRef& sp) {
     // published view instead of taking a lock — so one session's keyframe
     // insert no longer stalls FM dispatch for every session on this
     // shared lane.
-    if (s.opts.speculative_match)
-      run_device_stage(s, fs, PipeStage::kFeatureMatching, true);
+    run_device_stage(s, fs, PipeStage::kFeatureMatching, true);
     s.pending = std::move(fs);
     s.pending_ready = false;
   }
@@ -672,13 +669,9 @@ void TrackerScheduler::arm_worker(int worker_index) {
         // pop() above.)
         const double waited = now_ms() - entry.enqueue_ms;
         const std::lock_guard<std::mutex> stats_lock(s.stats_mutex);
-        if (entry.cls == BackendJobClass::kLoopVerify) {
-          s.stats.backend_loop_queue_ms += waited;
-          s.stats.backend_loop_queue_max_ms =
-              std::max(s.stats.backend_loop_queue_max_ms, waited);
-        } else {
-          s.stats.backend_ba_queue_ms += waited;
-        }
+        (entry.cls == BackendJobClass::kLoopVerify
+             ? s.stats.backend_loop_queue_ms
+             : s.stats.backend_ba_queue_ms) += waited;
       }
     }
     if (backend_job) {
@@ -727,7 +720,6 @@ void TrackerScheduler::run_session_localization(const SessionRef& session) {
       s.stats.arm_busy_ms += end - t0;
       if (result.reloc_attempted) {
         ++s.stats.reloc_attempts;
-        if (result.relocalized) ++s.stats.reloc_succeeded;
         if (result.match_tier == MatchTier::kBruteForce)
           ++s.stats.reloc_fallbacks;
       }
@@ -792,18 +784,14 @@ void TrackerScheduler::run_session_arm(const SessionRef& session) {
     // tracker so begin_frame() on the device lane reuses the memory.
     s.tracker->recycle_frame(std::move(fs));
 
-    // Map-maintenance visibility: fold the per-frame counters into the
-    // session stats so long-lived services see them without keeping every
-    // TrackResult around.
+    // Backend and recovery visibility: fold the per-frame counters into
+    // the session stats so long-lived services see them without keeping
+    // every TrackResult around.
     {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
-      s.stats.points_pruned += result.n_points_pruned;
-      s.stats.backend_points_culled += result.n_points_culled;
-      s.stats.backend_points_fused += result.n_points_fused;
       if (result.backend_applied) ++s.stats.backend_deltas_applied;
       if (result.reloc_attempted) {
         ++s.stats.reloc_attempts;
-        if (result.relocalized) ++s.stats.reloc_succeeded;
         if (result.match_tier == MatchTier::kBruteForce)
           ++s.stats.reloc_fallbacks;
       }

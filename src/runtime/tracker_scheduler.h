@@ -6,15 +6,16 @@
 // thread executes feature extraction + feature matching for every session
 // (the one fabric), and a fixed pool of *ARM worker* threads executes pose
 // estimation / pose optimization / map updating, at most one worker per
-// session at a time.  Per-session semantics are identical to the
-// single-stream PipelineExecutor:
+// session at a time.  With one session and one worker it is exactly the
+// paper's two-lane pipeline; per-session semantics are the same at any
+// width:
 //
 //   * bounded SPSC input ring per session — a full ring is back-pressure
 //     for that session only;
 //   * the key-frame barrier is per-session: the authoritative FM of frame
 //     N+1 must see the session's map after MU of frame N.  While the
 //     barrier is closed the frame waits in a per-session pending slot
-//     (after an optional speculative FM, replayed if the epoch moved), and
+//     (after a speculative FM, replayed if the epoch moved), and
 //     the device lane moves on to other sessions instead of blocking.
 //     FM itself is wait-free against every session's map writers: match()
 //     borrows the map's published MapReadView (slam/map_view.h) rather
@@ -122,16 +123,11 @@ struct SchedulerOptions {
   // tracker and re-offered at that session's next retirement, so overload
   // degrades to "backend laps less often", never to unbounded growth.
   int backend_queue_capacity = 16;
-  // Two-class priority discipline for the lane (loop verification pops
-  // before routine shard BA).  False = single FIFO; exists so the
-  // preemption benefit is measurable (bench_backend_ate A/Bs the two).
-  bool backend_priority = true;
 };
 
-// Per-session knobs (PipelineOptions is the single-stream alias of this).
+// Per-session knobs.
 struct SchedulerSessionOptions {
   int queue_capacity = 4;        // input + handoff ring depth
-  bool speculative_match = true; // FM before the barrier, replay on epoch
   bool record_events = true;     // keep the per-stage event log
   StagePacer pacer;              // optional platform-emulation padding
 };
@@ -267,15 +263,14 @@ class TrackerScheduler {
   //
   // backend_q_ is the background-job lane: individual frozen backend jobs
   // awaiting a worker, two classes (loop verification pops before routine
-  // shard BA when backend_priority is set).  Workers always serve work_q_
-  // (tracking stages) first — backend jobs have strictly lower priority,
-  // so they only consume pool slack.  Unlike the old one-slot-per-session
-  // lane, several jobs of one session may be queued and running at once:
-  // the tracker only freezes covisibility-disjoint shards, so their
-  // deltas commute and need no scheduler-side serialization.  bg_queued /
-  // bg_running are now per-session *counters*, and bg_running_total_ /
-  // bg_running_hwm_ track pool-wide backend concurrency (all guarded by
-  // work_mutex_).
+  // shard BA).  Workers always serve work_q_ (tracking stages) first —
+  // backend jobs have strictly lower priority, so they only consume pool
+  // slack.  Unlike the old one-slot-per-session lane, several jobs of one
+  // session may be queued and running at once: the tracker only freezes
+  // covisibility-disjoint shards, so their deltas commute and need no
+  // scheduler-side serialization.  bg_queued / bg_running are now
+  // per-session *counters*, and bg_running_total_ / bg_running_hwm_ track
+  // pool-wide backend concurrency (all guarded by work_mutex_).
   // One session awaiting a pool worker, stamped at push so the pop side
   // can fold "how long did dispatch wait behind a busy pool" into the
   // registry (eslam_scheduler_dispatch_wait_ms).  Frames that arrive

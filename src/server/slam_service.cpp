@@ -131,8 +131,7 @@ std::vector<TrackResult> SessionHandle::close() {
 SlamService::SlamService(const ServiceOptions& options)
     : options_(options),
       scheduler_(SchedulerOptions{std::max(1, options.arm_workers),
-                                  options.backend_queue_capacity,
-                                  options.backend_priority}) {
+                                  options.backend_queue_capacity}) {
   obs::MetricsRegistry& reg = obs::metrics();
   opened_mapping_total_ =
       &reg.counter("eslam_sessions_opened_total{kind=\"mapping\"}");
@@ -151,7 +150,6 @@ SessionHandle SlamService::open_session(const SessionConfig& config) {
 
   SchedulerSessionOptions scheduler_options;
   scheduler_options.queue_capacity = config.queue_capacity;
-  scheduler_options.speculative_match = config.speculative_match;
   scheduler_options.record_events = config.record_events;
   scheduler_options.pacer = config.pacer;
 
@@ -181,10 +179,7 @@ SessionHandle SlamService::open_session(const SessionConfig& config) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     session->id = sessions_opened_++;
-    if (config.kind == SessionKind::kLocalization)
-      ++localization_opened_;
-    else
-      ++mapping_opened_;
+    if (config.kind == SessionKind::kLocalization) ++localization_opened_;
   }
   return SessionHandle(this, std::move(session));
 }
@@ -200,7 +195,6 @@ ServiceStats SlamService::stats() const {
   s.sessions_open = scheduler_.session_count();
   s.localization_sessions_open = scheduler_.localization_session_count();
   s.mapping_sessions_open = s.sessions_open - s.localization_sessions_open;
-  s.arm_workers = std::max(1, options_.arm_workers);
   s.device_dispatches = scheduler_.total_dispatches();
   s.backend_concurrent_hwm = scheduler_.backend_concurrent_high_water();
   s.localization_coldstart_attempts =
@@ -209,7 +203,6 @@ ServiceStats SlamService::stats() const {
       scheduler_.localization_coldstart_successes();
   const std::lock_guard<std::mutex> lock(mutex_);
   s.sessions_opened_total = sessions_opened_;
-  s.mapping_sessions_opened_total = mapping_opened_;
   s.localization_sessions_opened_total = localization_opened_;
   return s;
 }

@@ -14,7 +14,7 @@
 // under round-robin fairness, while PE/PO/MU parallelize across sessions
 // up to the worker-pool width — at most one worker per session at a time,
 // so every session's results stay bit-identical to running that sequence
-// alone in ExecutionMode::kSequential.  Back-pressure is per session: one
+// alone through System::process().  Back-pressure is per session: one
 // slow or stalled session fills only its own bounded input ring and never
 // blocks the lane for the others.
 //
@@ -65,9 +65,6 @@ struct ServiceOptions {
   // loop-verification jobs awaiting pool slack); see
   // runtime/SchedulerOptions.
   int backend_queue_capacity = 16;
-  // Two-class priority discipline for the lane (loop verification pops
-  // before routine shard BA); see runtime/SchedulerOptions.
-  bool backend_priority = true;
 };
 
 // Everything one session needs: sensor, platform, tracker tuning, and its
@@ -88,7 +85,6 @@ struct SessionConfig {
   // (required — open_session asserts).
   std::shared_ptr<const FrozenMap> frozen_map;
   int queue_capacity = 4;         // this session's input/handoff ring depth
-  bool speculative_match = true;
   bool record_events = false;     // off by default: sessions are long-lived
   StagePacer pacer;               // platform-emulation padding (benches)
   // Overrides make_feature_backend(backend) when set — lets tests and
@@ -99,12 +95,11 @@ struct SessionConfig {
 struct ServiceStats {
   int sessions_open = 0;
   int sessions_opened_total = 0;
-  // Per-kind split of the two counters above.
+  // Per-kind split of the two counters above (mapping sessions opened:
+  // eslam_sessions_opened_total{kind="mapping"} in the registry).
   int mapping_sessions_open = 0;
   int localization_sessions_open = 0;
-  int mapping_sessions_opened_total = 0;
   int localization_sessions_opened_total = 0;
-  int arm_workers = 0;
   std::int64_t device_dispatches = 0;  // across live sessions (fairness)
   // Most backend jobs ever simultaneously running on the pool, across all
   // sessions (shard-BA concurrency witness).
@@ -146,8 +141,9 @@ class SessionHandle {
 
   int in_flight() const;
   // Runtime stats, including the background lane's per-class job counts
-  // and queue latencies, the pool-wide backend-concurrency high-water
-  // mark, and the per-session pruned/culled/fused map-maintenance totals.
+  // and queue latencies.  Map-maintenance totals and the pool-wide
+  // backend-concurrency high-water mark are service-level (metrics
+  // registry, ServiceStats).
   PipelineStats stats() const;
   // The tracker's own local-mapping counters (per-class jobs run, shard
   // freeze accounting, BA iterations/costs, points moved).  Thread-safe
@@ -210,7 +206,6 @@ class SlamService {
   TrackerScheduler scheduler_;
   mutable std::mutex mutex_;
   int sessions_opened_ = 0;
-  int mapping_opened_ = 0;       // guarded by mutex_
   int localization_opened_ = 0;  // guarded by mutex_
 
   // Service-level session rollups (resolved once at construction; see

@@ -1,19 +1,22 @@
-// Tests for the Figure-7 pipeline runtime: bounded SPSC queues, in-order
-// delivery, the keyframe barrier (no authoritative FM of frame N+1 before
-// map updating of frame N), end-to-end back-pressure, and bit-for-bit
-// equivalence of streaming vs synchronous execution.
-#include "runtime/pipeline_executor.h"
-
+// Tests for the Figure-7 pipeline runtime, driven the way a single camera
+// streams: one TrackerScheduler session on a one-worker pool (the paper's
+// two-lane pipeline).  Covers bounded SPSC queues, in-order delivery, the
+// keyframe barrier (no authoritative FM of frame N+1 before map updating
+// of frame N), end-to-end back-pressure, teardown with frames in flight,
+// and bit-for-bit equivalence of streaming vs synchronous execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
+#include "accel/backend_factory.h"
 #include "core/eslam.h"
 #include "dataset/sequence.h"
 #include "runtime/spsc_queue.h"
+#include "runtime/tracker_scheduler.h"
 
 namespace eslam {
 namespace {
@@ -62,18 +65,26 @@ TEST(SpscRing, TwoThreadStream) {
 
 // --- pipeline fixtures ----------------------------------------------------
 
-SystemConfig pipelined_config(Platform platform) {
-  SystemConfig cfg;
-  cfg.platform = platform;
-  cfg.execution = ExecutionMode::kPipelined;
-  return cfg;
+// The tracker a System with this platform and tracker options builds.
+std::unique_ptr<Tracker> make_tracker(const SyntheticSequence& seq,
+                                      Platform platform,
+                                      const TrackerOptions& options = {}) {
+  BackendConfig backend;
+  backend.platform = platform;
+  backend.matcher = options.matcher;
+  return std::make_unique<Tracker>(seq.camera(), make_feature_backend(backend),
+                                   options);
 }
 
-std::vector<TrackResult> run_streaming(System& slam,
+// Streams frames [first, last) through one session and drains it.  The
+// tests drive the single-camera pipeline: a one-worker TrackerScheduler
+// (one device lane, one ARM worker).
+std::vector<TrackResult> run_streaming(TrackerScheduler& scheduler,
+                                       const SessionRef& session,
                                        const SyntheticSequence& seq,
-                                       int frames) {
-  for (int i = 0; i < frames; ++i) slam.feed(seq.frame(i));
-  return slam.drain();
+                                       int first, int last) {
+  for (int i = first; i < last; ++i) scheduler.feed(session, seq.frame(i));
+  return scheduler.drain(session);
 }
 
 // --- equivalence ----------------------------------------------------------
@@ -88,9 +99,12 @@ TEST(PipelineExecutor, StreamingMatchesSynchronousBitForBit) {
   System sync(seq.camera(), seq_cfg);
   for (int i = 0; i < opts.frames; ++i) sync.process(seq.frame(i));
 
-  System streamed(seq.camera(), pipelined_config(Platform::kAccelerated));
+  const std::unique_ptr<Tracker> streamed =
+      make_tracker(seq, Platform::kAccelerated);
+  TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler.add_session(*streamed);
   const std::vector<TrackResult> results =
-      run_streaming(streamed, seq, opts.frames);
+      run_streaming(scheduler, session, seq, 0, opts.frames);
 
   ASSERT_EQ(results.size(), sync.results().size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -108,7 +122,7 @@ TEST(PipelineExecutor, StreamingMatchesSynchronousBitForBit) {
     EXPECT_EQ(a.n_matches, b.n_matches) << "frame " << i;
     EXPECT_EQ(a.n_inliers, b.n_inliers) << "frame " << i;
   }
-  EXPECT_EQ(streamed.map().size(), sync.map().size());
+  EXPECT_EQ(streamed->map().size(), sync.map().size());
 }
 
 // --- in-order delivery & reuse -------------------------------------------
@@ -117,23 +131,26 @@ TEST(PipelineExecutor, DeliversResultsInFeedOrderAndSurvivesDrain) {
   SequenceOptions opts;
   opts.frames = 8;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  System slam(seq.camera(), pipelined_config(Platform::kSoftware));
+  const std::unique_ptr<Tracker> tracker =
+      make_tracker(seq, Platform::kSoftware);
+  TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler.add_session(*tracker);
 
-  const std::vector<TrackResult> first = run_streaming(slam, seq, 5);
+  const std::vector<TrackResult> first =
+      run_streaming(scheduler, session, seq, 0, 5);
   ASSERT_EQ(first.size(), 5u);
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(first[static_cast<std::size_t>(i)].timestamp, seq.timestamp(i));
 
   // The pipeline stays usable after a drain.
-  for (int i = 5; i < 8; ++i) slam.feed(seq.frame(i));
-  const std::vector<TrackResult> second = slam.drain();
+  const std::vector<TrackResult> second =
+      run_streaming(scheduler, session, seq, 5, 8);
   ASSERT_EQ(second.size(), 3u);
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(second[static_cast<std::size_t>(i)].timestamp,
               seq.timestamp(5 + i));
 
-  ASSERT_NE(slam.pipeline(), nullptr);
-  const PipelineStats stats = slam.pipeline()->stats();
+  const PipelineStats stats = scheduler.stats(session);
   EXPECT_EQ(stats.frames_fed, 8);
   EXPECT_EQ(stats.frames_retired, 8);
   EXPECT_GT(stats.fpga_busy_ms, 0.0);
@@ -255,16 +272,17 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   SequenceOptions opts;
   opts.frames = 12;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
-  cfg.orb.n_features = 400;
-  cfg.pipeline.queue_capacity = 1;
-
+  OrbConfig orb;
+  orb.n_features = 400;
+  const TrackerOptions tracker_options;
   Tracker tracker(seq.camera(),
-                  std::make_unique<SoftwareBackend>(cfg.orb,
-                                                    cfg.tracker.matcher),
-                  cfg.tracker);
-  PipelineExecutor executor(tracker, cfg.pipeline);
+                  std::make_unique<SoftwareBackend>(orb,
+                                                    tracker_options.matcher),
+                  tracker_options);
+  SchedulerSessionOptions session_options;
+  session_options.queue_capacity = 1;
+  TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler.add_session(tracker, session_options);
 
   // Feed without polling: the stages and 1-deep queues can hold only a
   // few frames, so immediate re-feeds must bounce.
@@ -272,7 +290,7 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   std::vector<int> accepted_frames;
   bool saw_rejection = false;
   for (int i = 0; i < opts.frames; ++i) {
-    if (executor.try_feed(seq.frame(i))) {
+    if (scheduler.try_feed(session, seq.frame(i))) {
       ++accepted;
       accepted_frames.push_back(i);
     } else {
@@ -282,19 +300,55 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   EXPECT_TRUE(saw_rejection);
   EXPECT_LT(accepted, opts.frames);
 
-  const std::vector<TrackResult> results = executor.drain();
+  const std::vector<TrackResult> results = scheduler.drain(session);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(accepted));
   // Accepted frames still come out in feed order.
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i].timestamp,
               seq.timestamp(accepted_frames[i]));
 
-  const PipelineStats stats = executor.stats();
+  const PipelineStats stats = scheduler.stats(session);
   EXPECT_GT(stats.rejected_feeds, 0);
   EXPECT_EQ(stats.frames_fed, accepted);
   EXPECT_EQ(stats.frames_retired, accepted);
   // In-flight depth is bounded by the queues plus one frame per lane.
-  EXPECT_LE(stats.max_in_flight, 2 * cfg.pipeline.queue_capacity + 2);
+  EXPECT_LE(stats.max_in_flight, 2 * session_options.queue_capacity + 2);
+}
+
+// --- teardown -------------------------------------------------------------
+
+TEST(PipelineExecutor, TeardownWithFramesInFlightNeverHangs) {
+  // Destroying the scheduler without drain() abandons in-flight frames; it
+  // must still return promptly — including while the local-mapping backend
+  // has BA jobs queued or running on the pool — and leave the tracker
+  // safe to destroy afterwards.
+  SequenceOptions opts;
+  opts.frames = 8;
+  const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
+  TrackerOptions tracker_options;
+  tracker_options.backend.enabled = true;
+  std::unique_ptr<Tracker> tracker =
+      make_tracker(seq, Platform::kSoftware, tracker_options);
+  // Every stage occupies its lane for 20 ms, so frames are still queued
+  // and mid-pipeline when the feeds return.
+  SchedulerSessionOptions session_options;
+  session_options.pacer = [](PipeStage) { return 20.0; };
+
+  auto scheduler = std::make_unique<TrackerScheduler>(
+      SchedulerOptions{/*arm_workers=*/1});
+  const SessionRef session = scheduler->add_session(*tracker, session_options);
+  for (int i = 0; i < opts.frames; ++i) scheduler->feed(session, seq.frame(i));
+  EXPECT_GT(scheduler->in_flight(session), 0);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  scheduler.reset();
+  const double teardown_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  // The lanes stop at their next stage boundary; a generous bound that
+  // still fails loudly (instead of timing out the suite) on a hang.
+  EXPECT_LT(teardown_s, 30.0);
+  tracker.reset();
 }
 
 }  // namespace
