@@ -7,9 +7,12 @@
 //     1k / 4k / 16k;
 //   * candidate-list Hamming gather at gate-realistic list lengths;
 //   * batched map-point projection, scalar vs dispatched;
-//   * end-to-end brute-force matching, AoS reference vs SoA _into tier.
+//   * end-to-end brute-force matching, AoS reference vs SoA _into tier;
+//   * VGA FAST detection, dispatched detect_fast_into vs an is_fast_corner
+//     scan, and 7x7 smoothing, smooth_gaussian7_u8_into vs the generic
+//     separable convolution.
 //
-// Every timed comparison first asserts bit-exactness between the scalar
+// Every timed comparison first asserts bit-exactness between the reference
 // and dispatched kernels on the same inputs — a dispatch regression fails
 // the bench before it pollutes the numbers.
 #include <cstdio>
@@ -253,16 +256,57 @@ int main() {
     json.number("brute_match_speedup", soa_ms > 0 ? aos_ms / soa_ms : 0.0);
   }
 
-  // ---- Legacy scalar micro kernels (continuity with earlier runs) --------
+  // ---- FAST detection and 7x7 smoothing on VGA ---------------------------
   {
     const ImageU8 img = test_image(640, 480);
-    const double fast_ms = time_ms(9, [&] { (void)detect_fast(img, 20, 3); });
+    std::vector<Keypoint> dispatched, reference;
+    auto reference_scan = [&] {
+      reference.clear();
+      for (int y = 3; y < img.height() - 3; ++y)
+        for (int x = 3; x < img.width() - 3; ++x)
+          if (is_fast_corner(img, x, y, 20)) {
+            Keypoint kp;
+            kp.x = x;
+            kp.y = y;
+            reference.push_back(kp);
+          }
+    };
+    reference_scan();
+    detect_fast_into(img, 20, 3, dispatched);
+    bool same = dispatched.size() == reference.size();
+    for (std::size_t i = 0; same && i < reference.size(); ++i)
+      same = dispatched[i].x == reference[i].x &&
+             dispatched[i].y == reference[i].y;
+    require(same, "detect_fast_into vs is_fast_corner scan");
+    const double reference_ms = time_ms(9, reference_scan);
+    const double fast_ms =
+        time_ms(9, [&] { detect_fast_into(img, 20, 3, dispatched); });
+
+    static constexpr int kTaps[7] = {1, 6, 15, 20, 15, 6, 1};
+    Image<std::uint16_t> tmp;
+    ImageU8 smoothed;
+    smooth_gaussian7_u8_into(img, tmp, smoothed);
+    require(smoothed == convolve_separable_u8(img, kTaps, 7, 6),
+            "smooth_gaussian7_u8_into vs convolve_separable_u8");
+    const double generic_ms =
+        time_ms(9, [&] { (void)convolve_separable_u8(img, kTaps, 7, 6); });
     const double smooth_ms =
-        time_ms(9, [&] { (void)smooth_gaussian7_u8(img); });
-    std::printf("fast_detect vga %.3f ms   smooth7x7 vga %.3f ms\n", fast_ms,
-                smooth_ms);
+        time_ms(9, [&] { smooth_gaussian7_u8_into(img, tmp, smoothed); });
+
+    std::printf("fast_detect vga  reference %7.3f ms  dispatched %7.3f ms  "
+                "speedup %5.2fx  (%zu corners)\n",
+                reference_ms, fast_ms,
+                fast_ms > 0 ? reference_ms / fast_ms : 0.0, reference.size());
+    std::printf("smooth7x7 vga    generic   %7.3f ms  dedicated  %7.3f ms  "
+                "speedup %5.2fx\n",
+                generic_ms, smooth_ms,
+                smooth_ms > 0 ? generic_ms / smooth_ms : 0.0);
     json.number("fast_detect_vga_ms", fast_ms);
+    json.number("fast_reference_vga_ms", reference_ms);
+    json.number("fast_detect_speedup",
+                fast_ms > 0 ? reference_ms / fast_ms : 0.0);
     json.number("smooth7_vga_ms", smooth_ms);
+    json.number("smooth7_generic_vga_ms", generic_ms);
   }
 
   json.write();

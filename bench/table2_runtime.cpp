@@ -90,8 +90,8 @@ int main() {
 
   std::printf("\nworkload: %d frames of %s, %zu map points at end\n",
               seq.size(), seq.name().c_str(), hw.map().size());
-  std::printf("note: 'host meas' is this machine's unoptimized scalar\n"
-              "pipeline; the paper's i7 column ran OpenCV-optimized code.\n"
+  std::printf("note: 'host meas' is this machine's software pipeline;\n"
+              "the paper's i7 column ran OpenCV-optimized code.\n"
               "Shape to check: FE/FM dominate software runtime and collapse\n"
               "to ~9/4 ms on the accelerator.\n");
   return 0;

@@ -1,5 +1,7 @@
 #include "features/brief.h"
 
+#include <cstddef>
+
 namespace eslam {
 
 Descriptor256 compute_descriptor(const ImageU8& smoothed, int x, int y,
@@ -8,12 +10,20 @@ Descriptor256 compute_descriptor(const ImageU8& smoothed, int x, int y,
                    x < smoothed.width() - kPatternRadius &&
                    y < smoothed.height() - kPatternRadius,
                "descriptor patch out of bounds");
+  // Every pattern location lies within kPatternRadius, so the check above
+  // bounds all 512 reads.
+  const std::ptrdiff_t stride = smoothed.width();
+  const std::uint8_t* center = smoothed.row(y) + x;
   Descriptor256 d;
-  for (int i = 0; i < 256; ++i) {
-    const TestPair& p = pattern[static_cast<std::size_t>(i)];
-    const int is = smoothed.at(x + p.s.x, y + p.s.y);
-    const int id = smoothed.at(x + p.d.x, y + p.d.y);
-    d.set_bit(i, is > id);
+  for (int w = 0; w < Descriptor256::kWords; ++w) {
+    std::uint64_t word = 0;
+    for (int b = 0; b < 64; ++b) {
+      const TestPair& p = pattern[static_cast<std::size_t>(64 * w + b)];
+      const int is = center[p.s.y * stride + p.s.x];
+      const int id = center[p.d.y * stride + p.d.x];
+      word |= static_cast<std::uint64_t>(is > id) << b;
+    }
+    d.words()[static_cast<std::size_t>(w)] = word;
   }
   return d;
 }

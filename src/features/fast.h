@@ -34,7 +34,9 @@ bool is_fast_corner_window(const std::uint8_t win[7][7], int threshold);
 std::vector<Keypoint> detect_fast(const ImageU8& img, int threshold,
                                   int margin = 3);
 
-// Same scan into a recycled vector (cleared first).
+// Same scan into a recycled vector (cleared first).  Dispatched through
+// simd::active_isa(): AVX2 for thresholds in [0, 255], a row-pointer scalar
+// tier otherwise; every tier returns exactly the is_fast_corner raster scan.
 void detect_fast_into(const ImageU8& img, int threshold, int margin,
                       std::vector<Keypoint>& out);
 

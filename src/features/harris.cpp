@@ -24,21 +24,29 @@ std::int64_t harris_score_int(const ImageU8& img, int x, int y) {
   ESLAM_ASSERT(x >= r + 1 && y >= r + 1 && x < img.width() - r - 1 &&
                    y < img.height() - r - 1,
                "Harris window out of bounds");
-  std::int64_t sxx = 0, syy = 0, sxy = 0;
-  for (int dy = -r; dy <= r; ++dy)
+  // The bounds check above covers every Sobel tap, so the block is read
+  // through raw row pointers.  int32 sums cannot overflow: each product is
+  // at most 128^2 and the block has 49 of them.
+  std::int32_t sxx = 0, syy = 0, sxy = 0;
+  for (int dy = -r; dy <= r; ++dy) {
+    const std::uint8_t* above = img.row(y + dy - 1) + x;
+    const std::uint8_t* mid = img.row(y + dy) + x;
+    const std::uint8_t* below = img.row(y + dy + 1) + x;
     for (int dx = -r; dx <= r; ++dx) {
-      int gx, gy;
-      sobel(img, x + dx, y + dy, gx, gy);
+      const int a = above[dx - 1], b = above[dx], c = above[dx + 1];
+      const int d = mid[dx - 1], f = mid[dx + 1];
+      const int g = below[dx - 1], h = below[dx], i = below[dx + 1];
       // >>3 keeps the per-pixel product within 8+8 bit multiplier range
       // (|g| <= 1020 -> <= 127), the same quantization the DSP slices use.
-      gx >>= 3;
-      gy >>= 3;
+      const int gx = ((c + 2 * f + i) - (a + 2 * d + g)) >> 3;
+      const int gy = ((g + 2 * h + i) - (a + 2 * b + c)) >> 3;
       sxx += gx * gx;
       syy += gy * gy;
       sxy += gx * gy;
     }
-  const std::int64_t det = sxx * syy - sxy * sxy;
-  const std::int64_t tr = sxx + syy;
+  }
+  const std::int64_t det = std::int64_t{sxx} * syy - std::int64_t{sxy} * sxy;
+  const std::int64_t tr = std::int64_t{sxx} + syy;
   return det - ((41 * tr * tr) >> 10);  // k = 41/1024 ~ 0.04004
 }
 

@@ -23,7 +23,8 @@ struct NmsScratch {
   std::vector<std::int32_t> grid;
 };
 
-// Same suppression into recycled buffers, identical output to nms_3x3().
+// Same suppression into recycled buffers (nms_3x3 wraps this with a fresh
+// scratch).
 void nms_3x3_into(const std::vector<Keypoint>& keypoints, int width,
                   int height, NmsScratch& scratch, std::vector<Keypoint>& out);
 

@@ -29,15 +29,15 @@ FeatureList OrbExtractor::extract(const ImageU8& image) {
 void OrbExtractor::extract_into(const ImageU8& image, FeatureList& out) {
   stats_ = {};
   out.clear();
+  candidates_.clear();
   pyramid_.rebuild(image, config_.levels, config_.scale);
 
+  // Detection: FAST + Harris scoring + NMS on every raw level image.
   for (int level = 0; level < pyramid_.levels(); ++level) {
     const ImageU8& img = pyramid_.level(level).image;
     const double level_scale = pyramid_.level(level).scale;
     if (img.width() <= 2 * config_.border || img.height() <= 2 * config_.border)
       continue;
-
-    // FAST detection + Harris scoring on the raw level image.
     detect_fast_into(img, config_.fast_threshold, config_.border, raw_kps_);
     for (Keypoint& kp : raw_kps_) {
       kp.level = level;
@@ -45,46 +45,57 @@ void OrbExtractor::extract_into(const ImageU8& image, FeatureList& out) {
       kp.score = harris_score_int(img, kp.x, kp.y);
     }
     nms_3x3_into(raw_kps_, img.width(), img.height(), nms_grid_, nms_kps_);
-    stats_.detected += static_cast<int>(nms_kps_.size());
-
-    // Descriptors and orientations use the smoothened image.
-    smooth_gaussian7_u8_into(img, smooth_tmp_, smoothed_);
-    const ImageU8& smoothed = smoothed_;
-    for (const Keypoint& kp_in : nms_kps_) {
-      Keypoint kp = kp_in;
-      kp.angle = orientation_angle(smoothed, kp.x, kp.y);
-      kp.orientation_label = discretize_orientation(kp.angle);
-
-      Feature f;
-      switch (config_.mode) {
-        case DescriptorMode::kRsBrief:
-          f.descriptor = rs_brief_descriptor(smoothed, kp.x, kp.y, rs_pattern_,
-                                             kp.orientation_label);
-          break;
-        case DescriptorMode::kOrbLut:
-          f.descriptor =
-              orb_descriptor_lut(smoothed, kp.x, kp.y, orb_pattern_, kp.angle);
-          break;
-        case DescriptorMode::kOrbExact:
-          f.descriptor = orb_descriptor_exact(smoothed, kp.x, kp.y,
-                                              orb_pattern_, kp.angle);
-          break;
-      }
-      f.keypoint = kp;
-      out.push_back(std::move(f));
-      ++stats_.described;
-    }
+    candidates_.insert(candidates_.end(), nms_kps_.begin(), nms_kps_.end());
   }
+  stats_.detected = static_cast<int>(candidates_.size());
 
   // Filtering: keep the n_features best Harris scores across all levels
-  // (what the 1024-entry heap does in hardware).
-  if (static_cast<int>(out.size()) > config_.n_features) {
-    std::nth_element(out.begin(), out.begin() + config_.n_features, out.end(),
-                     [](const Feature& a, const Feature& b) {
-                       return a.keypoint.score > b.keypoint.score;
+  // (what the 1024-entry heap does in hardware).  The comparator reads only
+  // the score, so this selects and orders exactly as filtering described
+  // features would.
+  if (static_cast<int>(candidates_.size()) > config_.n_features) {
+    std::nth_element(candidates_.begin(),
+                     candidates_.begin() + config_.n_features,
+                     candidates_.end(),
+                     [](const Keypoint& a, const Keypoint& b) {
+                       return a.score > b.score;
                      });
-    out.resize(static_cast<std::size_t>(config_.n_features));
+    candidates_.resize(static_cast<std::size_t>(config_.n_features));
   }
+
+  // Descriptors and orientations use the smoothened image of each level
+  // that still holds a survivor.
+  smoothed_.resize(static_cast<std::size_t>(pyramid_.levels()));
+  for (int level = 0; level < pyramid_.levels(); ++level)
+    if (std::any_of(candidates_.begin(), candidates_.end(),
+                    [level](const Keypoint& kp) { return kp.level == level; }))
+      smooth_gaussian7_u8_into(pyramid_.level(level).image, smooth_tmp_,
+                               smoothed_[static_cast<std::size_t>(level)]);
+
+  for (Keypoint& kp : candidates_) {
+    const ImageU8& smoothed = smoothed_[static_cast<std::size_t>(kp.level)];
+    kp.angle = orientation_angle(smoothed, kp.x, kp.y);
+    kp.orientation_label = discretize_orientation(kp.angle);
+
+    Feature f;
+    switch (config_.mode) {
+      case DescriptorMode::kRsBrief:
+        f.descriptor = rs_brief_descriptor(smoothed, kp.x, kp.y, rs_pattern_,
+                                           kp.orientation_label);
+        break;
+      case DescriptorMode::kOrbLut:
+        f.descriptor =
+            orb_descriptor_lut(smoothed, kp.x, kp.y, orb_pattern_, kp.angle);
+        break;
+      case DescriptorMode::kOrbExact:
+        f.descriptor = orb_descriptor_exact(smoothed, kp.x, kp.y,
+                                            orb_pattern_, kp.angle);
+        break;
+    }
+    f.keypoint = kp;
+    out.push_back(std::move(f));
+  }
+  stats_.described = static_cast<int>(out.size());
   stats_.kept = static_cast<int>(out.size());
 }
 

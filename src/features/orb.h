@@ -1,8 +1,9 @@
 // Software ORB extractor: the end-to-end reference pipeline
-// (pyramid -> FAST -> Harris -> NMS -> orientation -> descriptor -> top-N),
+// (pyramid -> FAST -> Harris -> NMS -> top-N -> orientation -> descriptor),
 // configurable between the paper's RS-BRIEF and the original ORB descriptor.
-// This is the "software implementation" the paper times on ARM/Intel; the
-// bit-faithful FPGA pipeline lives in accel/orb_extractor_hw.
+// This is the "software implementation" the paper times on ARM/Intel: it
+// filters before it describes.  The bit-faithful FPGA pipeline in
+// accel/orb_extractor_hw keeps the fabric's rescheduled describe-all order.
 #pragma once
 
 #include <vector>
@@ -34,7 +35,8 @@ struct OrbConfig {
 
 struct OrbExtractionStats {
   int detected = 0;    // M: FAST corners surviving NMS, all levels
-  int described = 0;   // descriptors computed (== detected when rescheduled)
+  int described = 0;   // descriptors computed (== kept: top-N is selected
+                       // before describing)
   int kept = 0;        // N: features after top-N filtering
 };
 
@@ -47,9 +49,10 @@ class OrbExtractor {
   FeatureList extract(const ImageU8& image);
 
   // Same output into a recycled FeatureList.  The extractor recycles its
-  // pyramid, keypoint, NMS-grid, and smoothing buffers across calls, so a
-  // steady-state extraction performs zero heap allocations.  Not
-  // reentrant (the scratch is per-extractor state, like stats_).
+  // pyramid, keypoint, candidate, NMS-grid, and per-level smoothing buffers
+  // across calls, so a steady-state extraction performs zero heap
+  // allocations.  Not reentrant (the scratch is per-extractor state, like
+  // stats_).
   void extract_into(const ImageU8& image, FeatureList& out);
 
   const OrbConfig& config() const { return config_; }
@@ -67,9 +70,10 @@ class OrbExtractor {
   ImagePyramid pyramid_;
   std::vector<Keypoint> raw_kps_;
   std::vector<Keypoint> nms_kps_;
+  std::vector<Keypoint> candidates_;  // NMS survivors of all levels, then top N
   NmsScratch nms_grid_;
   Image<std::uint16_t> smooth_tmp_;
-  ImageU8 smoothed_;
+  std::vector<ImageU8> smoothed_;     // indexed by level; stale when unused
 };
 
 }  // namespace eslam

@@ -1,5 +1,6 @@
 #include "image/convolve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -54,17 +55,32 @@ ImageU8 smooth_gaussian7_u8(const ImageU8& src) {
 void smooth_gaussian7_u8_into(const ImageU8& src, Image<std::uint16_t>& tmp,
                               ImageU8& dst) {
   const int w = src.width(), h = src.height();
+  // Interior columns [3, w - 3) and rows [3, h - 3) never clamp, so they run
+  // on raw row pointers (which the compiler vectorizes); the borders keep
+  // the clamped loop.  Both compute the same sums.
+  const int x_lo = std::min(3, w), x_hi = std::max(x_lo, w - 3);
+  const int y_lo = std::min(3, h), y_hi = std::max(y_lo, h - 3);
+
   tmp.reset(w, h);
+  auto h_clamped = [&](int x, int y) {
+    int acc = 0;
+    for (int k = -3; k <= 3; ++k)
+      acc += kBinomial7[k + 3] * src.at_clamped(x + k, y);
+    tmp.at(x, y) = static_cast<std::uint16_t>(acc);  // <= 255*64 = 16320
+  };
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      int acc = 0;
-      for (int k = -3; k <= 3; ++k)
-        acc += kBinomial7[k + 3] * src.at_clamped(x + k, y);
-      tmp.at(x, y) = static_cast<std::uint16_t>(acc);  // <= 255*64 = 16320
-    }
+    for (int x = 0; x < x_lo; ++x) h_clamped(x, y);
+    const std::uint8_t* s = src.row(y);
+    std::uint16_t* t = tmp.row(y);
+    for (int x = x_lo; x < x_hi; ++x)
+      t[x] = static_cast<std::uint16_t>(
+          s[x - 3] + 6 * s[x - 2] + 15 * s[x - 1] + 20 * s[x] +
+          15 * s[x + 1] + 6 * s[x + 2] + s[x + 3]);
+    for (int x = x_hi; x < w; ++x) h_clamped(x, y);
   }
+
   dst.reset(w, h);
-  for (int y = 0; y < h; ++y) {
+  auto v_clamped_row = [&](int y) {
     for (int x = 0; x < w; ++x) {
       int acc = 0;
       for (int k = -3; k <= 3; ++k)
@@ -73,7 +89,24 @@ void smooth_gaussian7_u8_into(const ImageU8& src, Image<std::uint16_t>& tmp,
       const int v = (acc + 2048) >> 12;
       dst.at(x, y) = static_cast<std::uint8_t>(std::min(v, 255));
     }
+  };
+  for (int y = 0; y < y_lo; ++y) v_clamped_row(y);
+  for (int y = y_lo; y < y_hi; ++y) {
+    const std::uint16_t* t0 = tmp.row(y - 3);
+    const std::uint16_t* t1 = tmp.row(y - 2);
+    const std::uint16_t* t2 = tmp.row(y - 1);
+    const std::uint16_t* t3 = tmp.row(y);
+    const std::uint16_t* t4 = tmp.row(y + 1);
+    const std::uint16_t* t5 = tmp.row(y + 2);
+    const std::uint16_t* t6 = tmp.row(y + 3);
+    std::uint8_t* d = dst.row(y);
+    for (int x = 0; x < w; ++x) {
+      const int acc = t0[x] + 6 * t1[x] + 15 * t2[x] + 20 * t3[x] +
+                      15 * t4[x] + 6 * t5[x] + t6[x];
+      d[x] = static_cast<std::uint8_t>(std::min((acc + 2048) >> 12, 255));
+    }
   }
+  for (int y = y_hi; y < h; ++y) v_clamped_row(y);
 }
 
 ImageF32 smooth_gaussian7_f32(const ImageU8& src) {

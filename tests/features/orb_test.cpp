@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
 #include "dataset/scene.h"
+#include "features/harris.h"
+#include "features/orientation.h"
+#include "image/convolve.h"
 
 namespace eslam {
 namespace {
@@ -23,7 +28,7 @@ TEST(OrbExtractor, RespectsFeatureBudget) {
   EXPECT_GT(f.size(), 100u);  // textured scene must yield plenty
   EXPECT_EQ(ex.last_stats().kept, static_cast<int>(f.size()));
   EXPECT_GE(ex.last_stats().detected, ex.last_stats().kept);
-  EXPECT_EQ(ex.last_stats().described, ex.last_stats().detected);
+  EXPECT_EQ(ex.last_stats().described, ex.last_stats().kept);
 }
 
 TEST(OrbExtractor, KeypointsStayInsideBorders) {
@@ -128,6 +133,100 @@ TEST(OrbExtractor, TinyImageIsHandledGracefully) {
   OrbExtractor ex;
   const ImageU8 tiny(40, 30, 100);
   EXPECT_TRUE(ex.extract(tiny).empty());  // smaller than 2x border
+}
+
+// Describe-all-then-filter composed from the public kernels: every NMS
+// survivor of every level gets an orientation and a descriptor, then the
+// same nth_element keeps the best n_features.  The extractor filters first
+// and describes only the kept ones; its output must be identical, order
+// included.
+FeatureList describe_all_then_filter(const ImageU8& image,
+                                     const OrbExtractor& ex) {
+  const OrbConfig& cfg = ex.config();
+  const ImagePyramid pyramid(image, cfg.levels, cfg.scale);
+  FeatureList all;
+  for (int level = 0; level < pyramid.levels(); ++level) {
+    const ImageU8& img = pyramid.level(level).image;
+    if (img.width() <= 2 * cfg.border || img.height() <= 2 * cfg.border)
+      continue;
+    std::vector<Keypoint> raw = detect_fast(img, cfg.fast_threshold, cfg.border);
+    for (Keypoint& kp : raw) {
+      kp.level = level;
+      kp.scale = pyramid.level(level).scale;
+      kp.score = harris_score_int(img, kp.x, kp.y);
+    }
+    const ImageU8 smoothed = smooth_gaussian7_u8(img);
+    for (Keypoint kp : nms_3x3(raw, img.width(), img.height())) {
+      kp.angle = orientation_angle(smoothed, kp.x, kp.y);
+      kp.orientation_label = discretize_orientation(kp.angle);
+      Feature f;
+      f.keypoint = kp;
+      switch (cfg.mode) {
+        case DescriptorMode::kRsBrief:
+          f.descriptor = rs_brief_descriptor(smoothed, kp.x, kp.y,
+                                             ex.rs_pattern(),
+                                             kp.orientation_label);
+          break;
+        case DescriptorMode::kOrbLut:
+          f.descriptor = orb_descriptor_lut(smoothed, kp.x, kp.y,
+                                            ex.orb_pattern(), kp.angle);
+          break;
+        case DescriptorMode::kOrbExact:
+          f.descriptor = orb_descriptor_exact(smoothed, kp.x, kp.y,
+                                              ex.orb_pattern(), kp.angle);
+          break;
+      }
+      all.push_back(f);
+    }
+  }
+  if (static_cast<int>(all.size()) > cfg.n_features) {
+    std::nth_element(all.begin(), all.begin() + cfg.n_features, all.end(),
+                     [](const Feature& a, const Feature& b) {
+                       return a.keypoint.score > b.keypoint.score;
+                     });
+    all.resize(static_cast<std::size_t>(cfg.n_features));
+  }
+  return all;
+}
+
+TEST(OrbExtractor, EqualsDescribeAllThenFilterComposition) {
+  const BoxRoomScene scene;
+  const PinholeCamera cam(520.0, 520.0, 320.0, 240.0, 640, 480);
+  const ImageU8 frames[] = {
+      scene.render(cam, SE3{}, 0).gray,
+      scene.render(cam, SE3::exp({0.1, 0.0, 0.2, 0.05, -0.1, 0.02}), 1).gray};
+  for (const DescriptorMode mode : {DescriptorMode::kRsBrief,
+                                    DescriptorMode::kOrbLut,
+                                    DescriptorMode::kOrbExact})
+    for (const int n : {50, 1024, 100000}) {
+      OrbConfig cfg;
+      cfg.mode = mode;
+      cfg.n_features = n;
+      OrbExtractor ex(cfg);
+      FeatureList got;
+      // One extractor across both frames: recycled scratch must not leak.
+      for (const ImageU8& frame : frames) {
+        ex.extract_into(frame, got);
+        const FeatureList want = describe_all_then_filter(frame, ex);
+        ASSERT_EQ(got.size(), want.size())
+            << "mode " << static_cast<int>(mode) << " n " << n;
+        if (n == 100000)
+          EXPECT_EQ(ex.last_stats().kept, ex.last_stats().detected);
+        else
+          EXPECT_GT(ex.last_stats().detected, n);  // filtering did select
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const Keypoint& a = got[i].keypoint;
+          const Keypoint& b = want[i].keypoint;
+          ASSERT_TRUE(a.x == b.x && a.y == b.y && a.level == b.level &&
+                      a.scale == b.scale && a.score == b.score &&
+                      a.angle == b.angle &&
+                      a.orientation_label == b.orientation_label &&
+                      got[i].descriptor == want[i].descriptor)
+              << "mode " << static_cast<int>(mode) << " n " << n
+              << " feature " << i;
+        }
+      }
+    }
 }
 
 class OrbBudget : public ::testing::TestWithParam<int> {};

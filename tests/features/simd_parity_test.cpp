@@ -1,7 +1,8 @@
-// Scalar-vs-SIMD parity: the dispatched kernels (features/simd_kernels)
-// and the allocation-free matcher/gate tiers built on them must be
-// BIT-exact with the scalar reference paths — same Hamming distances, same
-// lowest-index tie winners, same projected pixels, same candidate lists.
+// Scalar-vs-SIMD parity: the dispatched kernels (features/simd_kernels,
+// FAST detection) and the allocation-free matcher/gate tiers built on them
+// must be BIT-exact with the scalar reference paths — same corners in the
+// same order, same Hamming distances, same lowest-index tie winners, same
+// projected pixels, same candidate lists.
 // The suite runs in the default build (dispatch picks AVX2/NEON where
 // available) and in the ESLAM_FORCE_SCALAR CI leg (dispatch pinned to the
 // scalar kernels), so both sides of every comparison stay exercised.
@@ -14,7 +15,9 @@
 
 #include "core/arena.h"
 #include "core/simd_dispatch.h"
+#include "../test_util.h"
 #include "features/descriptor_soa.h"
+#include "features/fast.h"
 #include "features/matcher.h"
 #include "features/simd_kernels.h"
 #include "geometry/camera.h"
@@ -282,6 +285,97 @@ TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
   simd::project_batch_scalar(xs, ys, zs, identity, cam, 24.0, u.data(),
                              v.data(), keep_s.data());
   EXPECT_EQ(keep, keep_s);
+}
+
+// ---- FAST detection ----------------------------------------------------------
+
+// The reference scan: is_fast_corner at every pixel inside the margin, in
+// raster order.
+std::vector<Keypoint> fast_reference(const ImageU8& img, int threshold,
+                                     int margin) {
+  std::vector<Keypoint> out;
+  for (int y = margin; y < img.height() - margin; ++y)
+    for (int x = margin; x < img.width() - margin; ++x)
+      if (is_fast_corner(img, x, y, threshold)) {
+        Keypoint kp;
+        kp.x = x;
+        kp.y = y;
+        out.push_back(kp);
+      }
+  return out;
+}
+
+ImageU8 random_image(std::mt19937_64& rng, int w, int h, int lo, int hi) {
+  ImageU8 img(w, h);
+  for (auto& p : img.data())
+    p = static_cast<std::uint8_t>(
+        lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1)));
+  return img;
+}
+
+constexpr int kFastThresholds[] = {-5, 0, 1, 20, 254, 255, 300};
+
+// Dispatched detect_fast_into (recycled output) vs the reference scan, for
+// every threshold and both margins; returns the corners compared.
+std::size_t expect_fast_parity(const ImageU8& img, const char* what) {
+  std::size_t compared = 0;
+  std::vector<Keypoint> got{Keypoint{}};  // stale entry: must be cleared
+  for (const int margin : {3, 16})
+    for (const int t : kFastThresholds) {
+      detect_fast_into(img, t, margin, got);
+      const std::vector<Keypoint> want = fast_reference(img, t, margin);
+      EXPECT_EQ(got.size(), want.size())
+          << what << " " << img.width() << "x" << img.height()
+          << " t=" << t << " margin=" << margin;
+      if (got.size() != want.size()) continue;
+      std::size_t i = 0;
+      while (i < want.size() && got[i].x == want[i].x && got[i].y == want[i].y)
+        ++i;
+      EXPECT_EQ(i, want.size())
+          << what << " " << img.width() << "x" << img.height() << " t=" << t
+          << " margin=" << margin << ": first differing corner";
+      compared += want.size();
+    }
+  return compared;
+}
+
+TEST(SimdParity, FastMatchesReferenceAcrossWidths) {
+  // Widths 7..70 cover rows narrower than one 32-pixel vector, exact
+  // multiples and every tail length; height 40 leaves interior rows at
+  // margin 16 too.
+  std::mt19937_64 rng(11);
+  std::size_t compared = 0;
+  for (int w = 7; w <= 70; ++w) {
+    compared += expect_fast_parity(random_image(rng, w, 40, 0, 255), "random");
+    compared += expect_fast_parity(
+        eslam::testing::structured_test_image(w, 40, static_cast<std::uint32_t>(w)),
+        "structured");
+  }
+  EXPECT_GT(compared, 1000u);  // the comparison saw corners, not just empties
+}
+
+TEST(SimdParity, FastMatchesReferenceOnVga) {
+  std::mt19937_64 rng(12);
+  std::size_t compared = 0;
+  compared += expect_fast_parity(random_image(rng, 640, 480, 0, 255), "random");
+  compared += expect_fast_parity(
+      eslam::testing::structured_test_image(640, 480, 5), "structured");
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(SimdParity, FastMatchesReferenceOnSaturatedImages) {
+  // Near 0 and near 255 the saturating c - t / c + t of the vector tier
+  // clamp; binary 0/255 noise hits both clamps in one image.
+  std::mt19937_64 rng(13);
+  std::size_t compared = 0;
+  for (const int w : {37, 64, 101}) {
+    compared += expect_fast_parity(random_image(rng, w, 48, 0, 12), "dark");
+    compared += expect_fast_parity(random_image(rng, w, 48, 243, 255), "bright");
+    ImageU8 binary = random_image(rng, w, 48, 0, 1);
+    for (auto& p : binary.data()) p = p ? 255 : 0;
+    compared += expect_fast_parity(binary, "binary");
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 // ---- Gate ------------------------------------------------------------------

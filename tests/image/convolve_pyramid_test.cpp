@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "../test_util.h"
 #include "image/convolve.h"
 #include "image/pyramid.h"
@@ -60,11 +63,28 @@ TEST(Smoother, IntegerTracksFloatReference) {
 }
 
 TEST(Smoother, GenericSeparableMatchesDedicated) {
-  const ImageU8 img = eslam::testing::structured_test_image(30, 26, 8);
+  // Every size up to 9x9 (all-border through interior fast path), a mid
+  // size and VGA, smoothed through one recycled buffer pair.
   static constexpr int taps[7] = {1, 6, 15, 20, 15, 6, 1};
-  const ImageU8 via_generic = convolve_separable_u8(img, taps, 7, 6);
-  const ImageU8 via_dedicated = smooth_gaussian7_u8(img);
-  EXPECT_EQ(via_generic, via_dedicated);
+  std::mt19937 rng(9);
+  auto noise = [&](int w, int h) {
+    ImageU8 img(w, h);
+    for (auto& p : img.data()) p = static_cast<std::uint8_t>(rng() & 0xFF);
+    return img;
+  };
+  std::vector<ImageU8> images;
+  for (int h = 1; h <= 9; ++h)
+    for (int w = 1; w <= 9; ++w) images.push_back(noise(w, h));
+  images.push_back(eslam::testing::structured_test_image(30, 26, 8));
+  images.push_back(noise(640, 480));
+
+  Image<std::uint16_t> tmp;
+  ImageU8 smoothed;
+  for (const ImageU8& img : images) {
+    smooth_gaussian7_u8_into(img, tmp, smoothed);
+    EXPECT_EQ(smoothed, convolve_separable_u8(img, taps, 7, 6))
+        << img.width() << "x" << img.height();
+  }
 }
 
 TEST(Resize, NearestConstantImage) {

@@ -9,8 +9,10 @@
 // over identical inputs with identical results.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "dataset/sequence.h"
@@ -100,14 +102,34 @@ TEST(LoopReplay, PipelinedSpeculationAbsorbsLoopDeltas) {
   };
   SessionHandle session = service.open_session(config);
 
+  // A detected loop's verification runs on the background lane while
+  // frames keep tracking.  Feeding pauses until that job has run (within
+  // one overall deadline, so a job that never runs still ends the test
+  // through the checks below): the return leg then stays runway for the
+  // correction however fast the host tracks, and the frames fed after it
+  // still speculate against the delta.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  auto wait_for_loop_jobs = [&] {
+    for (;;) {
+      const backend::BackendStats b = session.backend_stats();
+      if (b.loop_jobs_run >= b.loops_detected ||
+          std::chrono::steady_clock::now() > deadline)
+        return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   std::vector<TrackResult> results;
-  for (int i = 0; i < seq.size(); ++i) session.feed(seq.frame(i));
+  for (int i = 0; i < seq.size(); ++i) {
+    session.feed(seq.frame(i));
+    wait_for_loop_jobs();
+  }
   for (TrackResult& r : session.drain()) results.push_back(std::move(r));
   ASSERT_EQ(static_cast<int>(results.size()), seq.size());
 
-  // Loop jobs ran on the background lane; detections are deterministic
-  // (graph content is), application timing is not — but with the whole
-  // return leg as revisit runway at least one correction must land.
+  // Detections are deterministic (graph content is), application timing
+  // is not — but with the rest of the return leg as revisit runway at
+  // least one correction must land.
   const PipelineStats stats = session.stats();
   const backend::BackendStats backend = session.backend_stats();
   EXPECT_GE(backend.loops_detected, 1);

@@ -268,6 +268,31 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
 
 // --- back-pressure --------------------------------------------------------
 
+// Holds every lane in its first paced stage until opened, so feeds meet
+// full queues however fast the host runs the stages.
+class LaneGate {
+ public:
+  StagePacer pacer() {
+    return [this](PipeStage) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return open_; });
+      return 0.0;
+    };
+  }
+  void open() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   SequenceOptions opts;
   opts.frames = 12;
@@ -279,13 +304,15 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
                   std::make_unique<SoftwareBackend>(orb,
                                                     tracker_options.matcher),
                   tracker_options);
+  LaneGate gate;
   SchedulerSessionOptions session_options;
   session_options.queue_capacity = 1;
+  session_options.pacer = gate.pacer();
   TrackerScheduler scheduler(SchedulerOptions{/*arm_workers=*/1});
   const SessionRef session = scheduler.add_session(tracker, session_options);
 
-  // Feed without polling: the stages and 1-deep queues can hold only a
-  // few frames, so immediate re-feeds must bounce.
+  // Feed without polling while the gate holds the lanes: the stages and
+  // 1-deep queues can hold only a few frames, so re-feeds must bounce.
   int accepted = 0;
   std::vector<int> accepted_frames;
   bool saw_rejection = false;
@@ -297,6 +324,7 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
       saw_rejection = true;
     }
   }
+  gate.open();
   EXPECT_TRUE(saw_rejection);
   EXPECT_LT(accepted, opts.frames);
 
