@@ -10,7 +10,11 @@
 //   * end-to-end brute-force matching, AoS reference vs SoA _into tier;
 //   * VGA FAST detection, dispatched detect_fast_into vs an is_fast_corner
 //     scan, and 7x7 smoothing, smooth_gaussian7_u8_into vs the generic
-//     separable convolution.
+//     separable convolution;
+//   * Harris scoring of every FAST corner of a VGA frame, dispatched
+//     harris_score_int vs a pixel-by-pixel loop of the same formula, and
+//     3x3 NMS over those scored corners, nms_3x3_into vs a bounds-checked
+//     neighbour scan.
 //
 // Every timed comparison first asserts bit-exactness between the reference
 // and dispatched kernels on the same inputs — a dispatch regression fails
@@ -25,7 +29,9 @@
 #include "core/simd_dispatch.h"
 #include "features/descriptor_soa.h"
 #include "features/fast.h"
+#include "features/harris.h"
 #include "features/matcher.h"
+#include "features/nms.h"
 #include "features/simd_kernels.h"
 #include "geometry/camera.h"
 #include "geometry/wall_timer.h"
@@ -55,6 +61,62 @@ void require(bool ok, const char* what) {
     std::fprintf(stderr, "FATAL: kernel parity violated: %s\n", what);
     std::exit(1);
   }
+}
+
+// The integer Harris response read pixel by pixel through Image::at().
+std::int64_t harris_reference(const ImageU8& img, int x, int y) {
+  std::int32_t sxx = 0, syy = 0, sxy = 0;
+  for (int py = y - 3; py <= y + 3; ++py)
+    for (int px = x - 3; px <= x + 3; ++px) {
+      const int gx = ((img.at(px + 1, py - 1) + 2 * img.at(px + 1, py) +
+                       img.at(px + 1, py + 1)) -
+                      (img.at(px - 1, py - 1) + 2 * img.at(px - 1, py) +
+                       img.at(px - 1, py + 1))) >>
+                     3;
+      const int gy = ((img.at(px - 1, py + 1) + 2 * img.at(px, py + 1) +
+                       img.at(px + 1, py + 1)) -
+                      (img.at(px - 1, py - 1) + 2 * img.at(px, py - 1) +
+                       img.at(px + 1, py - 1))) >>
+                     3;
+      sxx += gx * gx;
+      syy += gy * gy;
+      sxy += gx * gy;
+    }
+  const std::int64_t det = std::int64_t{sxx} * syy - std::int64_t{sxy} * sxy;
+  const std::int64_t tr = std::int64_t{sxx} + syy;
+  return det - ((41 * tr * tr) >> 10);
+}
+
+// 3x3 NMS with a per-neighbour bounds check and early exit over a dense
+// width x height index grid (first keypoint at a pixel wins, ties to the
+// lower index); `grid` is all -1 on entry and on return.
+void nms_reference(const std::vector<Keypoint>& kps, int width, int height,
+                   std::vector<std::int32_t>& grid,
+                   std::vector<Keypoint>& out) {
+  out.clear();
+  grid.resize(static_cast<std::size_t>(width) * height, -1);
+  auto at = [&](int x, int y) -> std::int32_t& {
+    return grid[static_cast<std::size_t>(y) * width + x];
+  };
+  for (std::size_t i = 0; i < kps.size(); ++i)
+    if (at(kps[i].x, kps[i].y) < 0)
+      at(kps[i].x, kps[i].y) = static_cast<std::int32_t>(i);
+  for (std::size_t i = 0; i < kps.size(); ++i) {
+    bool is_max = true;
+    for (int dy = -1; dy <= 1 && is_max; ++dy)
+      for (int dx = -1; dx <= 1 && is_max; ++dx) {
+        const int x = kps[i].x + dx, y = kps[i].y + dy;
+        if ((dx == 0 && dy == 0) || x < 0 || y < 0 || x >= width ||
+            y >= height || at(x, y) < 0)
+          continue;
+        const std::size_t j = static_cast<std::size_t>(at(x, y));
+        if (kps[j].score > kps[i].score ||
+            (kps[j].score == kps[i].score && j < i))
+          is_max = false;
+      }
+    if (is_max) out.push_back(kps[i]);
+  }
+  for (const Keypoint& kp : kps) at(kp.x, kp.y) = -1;
 }
 
 // Median-of-reps wall time for `fn`, in milliseconds.
@@ -307,6 +369,66 @@ int main() {
                 fast_ms > 0 ? reference_ms / fast_ms : 0.0);
     json.number("smooth7_vga_ms", smooth_ms);
     json.number("smooth7_generic_vga_ms", generic_ms);
+  }
+
+  // ---- Harris scoring and NMS over a VGA frame's FAST corners -----------
+  {
+    const ImageU8 img = test_image(640, 480);
+    std::vector<Keypoint> corners;
+    detect_fast_into(img, 20, 4, corners);  // Harris needs a 4-pixel border
+    std::vector<std::int64_t> dispatched(corners.size()),
+        reference(corners.size());
+    auto reference_loop = [&] {
+      for (std::size_t i = 0; i < corners.size(); ++i)
+        reference[i] = harris_reference(img, corners[i].x, corners[i].y);
+    };
+    auto dispatched_loop = [&] {
+      for (std::size_t i = 0; i < corners.size(); ++i)
+        dispatched[i] = harris_score_int(img, corners[i].x, corners[i].y);
+    };
+    reference_loop();
+    dispatched_loop();
+    require(dispatched == reference, "harris_score_int vs at() reference");
+    const double harris_reference_ms = time_ms(9, reference_loop);
+    const double harris_ms = time_ms(9, dispatched_loop);
+
+    for (std::size_t i = 0; i < corners.size(); ++i)
+      corners[i].score = dispatched[i];
+    NmsScratch scratch;
+    std::vector<std::int32_t> reference_grid;
+    std::vector<Keypoint> kept, reference_kept;
+    nms_3x3_into(corners, img.width(), img.height(), scratch, kept);
+    nms_reference(corners, img.width(), img.height(), reference_grid,
+                  reference_kept);
+    bool same = kept.size() == reference_kept.size();
+    for (std::size_t i = 0; same && i < kept.size(); ++i)
+      same = kept[i].x == reference_kept[i].x &&
+             kept[i].y == reference_kept[i].y;
+    require(same, "nms_3x3_into vs bounds-checked reference");
+    const double nms_reference_ms = time_ms(9, [&] {
+      nms_reference(corners, img.width(), img.height(), reference_grid,
+                    reference_kept);
+    });
+    const double nms_ms = time_ms(9, [&] {
+      nms_3x3_into(corners, img.width(), img.height(), scratch, kept);
+    });
+
+    std::printf("harris_vga       reference %7.3f ms  dispatched %7.3f ms  "
+                "speedup %5.2fx  (%zu corners)\n",
+                harris_reference_ms, harris_ms,
+                harris_ms > 0 ? harris_reference_ms / harris_ms : 0.0,
+                corners.size());
+    std::printf("nms_vga          reference %7.3f ms  dispatched %7.3f ms  "
+                "speedup %5.2fx  (%zu kept)\n",
+                nms_reference_ms, nms_ms,
+                nms_ms > 0 ? nms_reference_ms / nms_ms : 0.0, kept.size());
+    json.number("harris_vga_ms", harris_ms);
+    json.number("harris_reference_vga_ms", harris_reference_ms);
+    json.number("harris_speedup",
+                harris_ms > 0 ? harris_reference_ms / harris_ms : 0.0);
+    json.number("nms_vga_ms", nms_ms);
+    json.number("nms_reference_vga_ms", nms_reference_ms);
+    json.number("nms_speedup", nms_ms > 0 ? nms_reference_ms / nms_ms : 0.0);
   }
 
   json.write();

@@ -32,12 +32,15 @@ OrbExtractorHw::OrbExtractorHw(const HwExtractorConfig& config)
 }
 
 FeatureList OrbExtractorHw::extract(const ImageU8& image) {
+  std::vector<LevelCycleReport> levels = std::move(report_.levels);
+  levels.clear();
   report_ = {};
+  report_.levels = std::move(levels);
   AxiBusModel axi(config_.axi);
   FilterHeap heap(static_cast<std::size_t>(config_.n_features));
 
-  const ImagePyramid pyramid(image, config_.levels, config_.scale,
-                             /*use_bilinear=*/false);
+  pyramid_.rebuild(image, config_.levels, config_.scale,
+                   /*use_bilinear=*/false);
 
   // On-chip buffers: Image Cache + Score Cache + Smoothened Image Cache,
   // all 3-line ping-pong structures (sized for the largest level), plus
@@ -46,16 +49,9 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
   report_.onchip_bits =
       3 * sizing_cache.storage_bits() + heap.storage_bits();
 
-  struct PendingDescribe {
-    Keypoint keypoint;
-    std::uint64_t arrival = 0;
-    int level = 0;
-  };
-  std::vector<PendingDescribe> deferred;  // original workflow only
-
-  for (int li = 0; li < pyramid.levels(); ++li) {
-    const ImageU8& img = pyramid.level(li).image;
-    const double level_scale = pyramid.level(li).scale;
+  for (int li = 0; li < pyramid_.levels(); ++li) {
+    const ImageU8& img = pyramid_.level(li).image;
+    const double level_scale = pyramid_.level(li).scale;
     LevelCycleReport lvl;
     lvl.level = li;
     lvl.width = img.width();
@@ -82,44 +78,43 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
     }
 
     // ---- functional datapath ---------------------------------------------
-    std::vector<Keypoint> kps =
-        detect_fast(img, config_.fast_threshold, config_.border);
-    for (Keypoint& kp : kps) {
+    detect_fast_into(img, config_.fast_threshold, config_.border, raw_kps_);
+    for (Keypoint& kp : raw_kps_) {
       kp.level = li;
       kp.scale = level_scale;
       kp.score = harris_score_int(img, kp.x, kp.y);
     }
-    kps = nms_3x3(kps, img.width(), img.height());
-    lvl.detected = static_cast<int>(kps.size());
+    nms_3x3_into(raw_kps_, img.width(), img.height(), nms_, kps_);
+    lvl.detected = static_cast<int>(kps_.size());
     report_.detected += lvl.detected;
 
     // Hardware streams column-major; order keypoints by arrival cycle.
-    std::sort(kps.begin(), kps.end(), [&](const Keypoint& a, const Keypoint& b) {
-      return arrival_cycle(a.x, a.y, img.height()) <
-             arrival_cycle(b.x, b.y, img.height());
-    });
+    std::sort(kps_.begin(), kps_.end(),
+              [&](const Keypoint& a, const Keypoint& b) {
+                return arrival_cycle(a.x, a.y, img.height()) <
+                       arrival_cycle(b.x, b.y, img.height());
+              });
 
-    const ImageU8 smoothed = smooth_gaussian7_u8(img);
-
+    // The heap compares scores only, so it is offered keypoint-only
+    // features in both workflows; describe_kept() fills in the survivors.
     if (config_.workflow == HwWorkflow::kRescheduled) {
       // Describe-all-then-filter, fully streaming.  Micro-simulate the
-      // BRIEF Computing and Heap units with FIFO back-pressure.
+      // BRIEF Computing and Heap units with FIFO back-pressure: every
+      // keypoint is charged a describe here.
       std::uint64_t desc_free = 0, heap_free = 0, stall = 0;
-      std::vector<std::uint64_t> issue_history;  // descriptor issue times
-      issue_history.reserve(kps.size());
+      issue_history_.clear();  // descriptor issue times
 
-      for (const Keypoint& kp_in : kps) {
-        Keypoint kp = kp_in;
+      for (const Keypoint& kp : kps_) {
         std::uint64_t arrival =
             lvl.fill_cycles + arrival_cycle(kp.x, kp.y, img.height()) + stall;
 
         // Stream stalls when the keypoint FIFO is full: the k-th keypoint
         // cannot enter until the (k - depth)-th issued.
-        const std::size_t k = issue_history.size();
+        const std::size_t k = issue_history_.size();
         if (k >= static_cast<std::size_t>(config_.keypoint_fifo_depth)) {
           const std::uint64_t gate =
-              issue_history[k - static_cast<std::size_t>(
-                                    config_.keypoint_fifo_depth)];
+              issue_history_[k - static_cast<std::size_t>(
+                                     config_.keypoint_fifo_depth)];
           if (gate > arrival) {
             stall += gate - arrival;
             arrival = gate;
@@ -129,20 +124,12 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
         const std::uint64_t desc_start = std::max(arrival, desc_free);
         desc_free = desc_start +
                     static_cast<std::uint64_t>(config_.describe_issue_cycles);
-        issue_history.push_back(desc_free);
-
-        // Orientation + descriptor (functional).
-        std::int64_t m10, m01;
-        patch_moments(smoothed, kp.x, kp.y, m10, m01);
-        kp.orientation_label = orientation_label_hw(m10, m01);
-
-        Feature f;
-        f.descriptor = compute_descriptor(smoothed, kp.x, kp.y, pattern_.base())
-                           .rotated_bytes(kp.orientation_label);
-        f.keypoint = kp;
+        issue_history_.push_back(desc_free);
         ++report_.described;
 
         // Heap insertion (the Filtering stage, overlapped with the stream).
+        Feature f;
+        f.keypoint = kp;
         const std::uint64_t before = heap.cycles();
         heap.offer(f);
         const std::uint64_t cost = heap.cycles() - before;
@@ -157,13 +144,10 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
     } else {
       // Original workflow: only detection + filtering stream; descriptors
       // wait until filtering completes (after the last level below).
-      for (const Keypoint& kp : kps) {
-        Feature f;  // descriptor filled later for survivors
+      for (const Keypoint& kp : kps_) {
+        Feature f;
         f.keypoint = kp;
         heap.offer(f);
-        deferred.push_back(PendingDescribe{
-            kp, lvl.fill_cycles + arrival_cycle(kp.x, kp.y, img.height()),
-            li});
       }
     }
 
@@ -173,35 +157,21 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
   // ---- filtering result ----------------------------------------------------
   FeatureList kept = heap.drain();
   report_.heap_cycles = heap.cycles();
+  describe_kept(kept);
 
   if (config_.workflow == HwWorkflow::kOriginal) {
-    // Compute descriptors only for the N survivors, after filtering: every
-    // patch is a random SDRAM fetch (the smoothened image no longer sits
-    // in the stream caches).
-    // Rebuild per-level smoothed images for the functional result.
-    const ImagePyramid pyramid(image, config_.levels, config_.scale, false);
-    std::vector<ImageU8> smoothed_levels;
-    smoothed_levels.reserve(static_cast<std::size_t>(pyramid.levels()));
-    for (int li = 0; li < pyramid.levels(); ++li)
-      smoothed_levels.push_back(smooth_gaussian7_u8(pyramid.level(li).image));
-
-    for (Feature& f : kept) {
-      const ImageU8& smoothed =
-          smoothed_levels[static_cast<std::size_t>(f.keypoint.level)];
-      std::int64_t m10, m01;
-      patch_moments(smoothed, f.keypoint.x, f.keypoint.y, m10, m01);
-      f.keypoint.orientation_label = orientation_label_hw(m10, m01);
-      f.descriptor =
-          compute_descriptor(smoothed, f.keypoint.x, f.keypoint.y,
-                             pattern_.base())
-              .rotated_bytes(f.keypoint.orientation_label);
-      report_.describe_serial_cycles +=
-          static_cast<std::uint64_t>(config_.random_patch_fetch_cycles +
-                                     config_.describe_issue_cycles);
-      ++report_.described;
-    }
-    // The smoothened image must round-trip through SDRAM in this workflow.
-    for (const ImageU8& s : smoothed_levels) axi.write_cycles(s.pixel_count());
+    // Descriptors are computed only for the N survivors, after filtering:
+    // every patch is a random SDRAM fetch (the smoothened image no longer
+    // sits in the stream caches) ...
+    report_.describe_serial_cycles =
+        static_cast<std::uint64_t>(kept.size()) *
+        static_cast<std::uint64_t>(config_.random_patch_fetch_cycles +
+                                   config_.describe_issue_cycles);
+    report_.described = static_cast<int>(kept.size());
+    // ... and the smoothened image of every level must round-trip through
+    // SDRAM.
+    for (int li = 0; li < pyramid_.levels(); ++li)
+      axi.write_cycles(pyramid_.level(li).image.pixel_count());
   }
 
   report_.kept = static_cast<int>(kept.size());
@@ -218,6 +188,26 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
   report_.axi_bytes_read = axi.bytes_read();
   report_.axi_bytes_written = axi.bytes_written();
   return kept;
+}
+
+void OrbExtractorHw::describe_kept(FeatureList& kept) {
+  smoothed_.resize(static_cast<std::size_t>(pyramid_.levels()));
+  for (int li = 0; li < pyramid_.levels(); ++li)
+    if (std::any_of(kept.begin(), kept.end(), [li](const Feature& f) {
+          return f.keypoint.level == li;
+        }))
+      smooth_gaussian7_u8_into(pyramid_.level(li).image, smooth_tmp_,
+                               smoothed_[static_cast<std::size_t>(li)]);
+
+  for (Feature& f : kept) {
+    Keypoint& kp = f.keypoint;
+    const ImageU8& smoothed = smoothed_[static_cast<std::size_t>(kp.level)];
+    std::int64_t m10, m01;
+    patch_moments(smoothed, kp.x, kp.y, m10, m01);
+    kp.orientation_label = orientation_label_hw(m10, m01);
+    f.descriptor = compute_descriptor(smoothed, kp.x, kp.y, pattern_.base())
+                       .rotated_bytes(kp.orientation_label);
+  }
 }
 
 }  // namespace eslam

@@ -7,6 +7,13 @@
 // and steered by the BRIEF Rotator byte shift.  The 1024-feature Harris
 // heap performs the filtering.
 //
+// Timing and function are computed apart.  The heap compares Harris scores
+// only, so which features it keeps does not depend on their descriptors:
+// the emulation offers it keypoints, and orients and describes just the
+// kept N after the heap drains, from the smoothed images of the levels that
+// hold a survivor.  The cycle model still charges the describe work of the
+// workflow it models.
+//
 // Timing follows the streaming contract of section 3.1: pixels enter at 1
 // pixel/cycle from the ping-pong Image Cache; per-keypoint work (BRIEF
 // Computing, heap insertion) runs in parallel units fed by small FIFOs, so
@@ -20,6 +27,7 @@
 #include <vector>
 
 #include "features/keypoint.h"
+#include "features/nms.h"
 #include "features/pattern.h"
 #include "hw/axi.h"
 #include "hw/clock.h"
@@ -76,7 +84,10 @@ struct HwExtractorReport {
   std::uint64_t heap_cycles = 0;             // informational (overlapped)
   std::uint64_t total_cycles = 0;
   int detected = 0;   // M across all levels
-  int described = 0;  // descriptors computed
+  int described = 0;  // descriptors the modelled fabric computes: every
+                      // detected keypoint when rescheduled, the kept N in
+                      // the original workflow (the emulation itself only
+                      // computes the kept N's)
   int kept = 0;       // N after the heap
   // On-chip buffer bits actually used (3-line caches x3 + heap).
   std::size_t onchip_bits = 0;
@@ -102,9 +113,21 @@ class OrbExtractorHw {
   const RsBriefPattern& pattern() const { return pattern_; }
 
  private:
+  // Orientation label and rotated RS-BRIEF descriptor of each heap
+  // survivor, from the smoothed image of its level.
+  void describe_kept(FeatureList& kept);
+
   HwExtractorConfig config_;
   RsBriefPattern pattern_;
   HwExtractorReport report_;
+  // Per-frame scratch, reused across extract() calls.
+  ImagePyramid pyramid_;
+  std::vector<Keypoint> raw_kps_;
+  std::vector<Keypoint> kps_;  // NMS survivors of the current level
+  NmsScratch nms_;
+  std::vector<std::uint64_t> issue_history_;  // describe issue times
+  Image<std::uint16_t> smooth_tmp_;
+  std::vector<ImageU8> smoothed_;  // indexed by level; stale when unused
 };
 
 }  // namespace eslam

@@ -19,7 +19,9 @@ inline constexpr int kHarrisBlock = 7;  // 7x7 gradient window
 // block + 1 for Sobel).  Response = det(M) - (41/1024) * trace(M)^2 where
 // M accumulates Sobel gradients over the block; gradients are right-shifted
 // by 3 before accumulation to keep products in 64-bit range, matching the
-// DSP-width-limited hardware datapath.
+// DSP-width-limited hardware datapath.  Dispatched through
+// simd::active_isa(): an AVX2 tier (one int16 vector per window row) and a
+// row-pointer scalar tier, bit-identical to each other.
 std::int64_t harris_score_int(const ImageU8& img, int x, int y);
 
 // Floating-point reference with k = 0.04 on the same window.

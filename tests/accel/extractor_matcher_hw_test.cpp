@@ -4,10 +4,18 @@
 #include <map>
 
 #include "../test_util.h"
+#include "accel/heap_hw.h"
 #include "accel/matcher_hw.h"
 #include "accel/orb_extractor_hw.h"
+#include "accel/orientation_hw.h"
 #include "dataset/scene.h"
+#include "features/brief.h"
+#include "features/fast.h"
+#include "features/harris.h"
+#include "features/nms.h"
 #include "features/orb.h"
+#include "features/orientation.h"
+#include "image/convolve.h"
 
 namespace eslam {
 namespace {
@@ -158,6 +166,70 @@ TEST(ExtractorHw, DescribedCountsDifferBetweenWorkflows) {
   EXPECT_EQ(hw_r.report().described, hw_r.report().detected);
   EXPECT_EQ(hw_o.report().described, hw_o.report().kept);
   EXPECT_GT(hw_r.report().described, hw_o.report().described);
+}
+
+TEST(ExtractorHw, KeptFeaturesEqualDescribeAllRecomputation) {
+  // The emulation offers the heap keypoints and describes only the kept N.
+  // Recompute the modelled order instead: describe every NMS survivor in
+  // arrival order and filter the described features, as the rescheduled
+  // fabric does.  Same features, same order, same labels and descriptors;
+  // the cycle model still charges a describe per detected keypoint.
+  const ImageU8 img = rendered_frame(11);
+  OrbExtractorHw hw;
+  const HwExtractorConfig& config = hw.config();
+  const FeatureList got = hw.extract(img);
+
+  const ImagePyramid pyramid(img, config.levels, config.scale, false);
+  FilterHeap heap(static_cast<std::size_t>(config.n_features));
+  int described = 0;
+  for (int li = 0; li < pyramid.levels(); ++li) {
+    const ImageU8& level = pyramid.level(li).image;
+    if (level.width() <= 2 * config.border ||
+        level.height() <= 2 * config.border)
+      continue;
+    std::vector<Keypoint> kps =
+        detect_fast(level, config.fast_threshold, config.border);
+    for (Keypoint& kp : kps) {
+      kp.level = li;
+      kp.scale = pyramid.level(li).scale;
+      kp.score = harris_score_int(level, kp.x, kp.y);
+    }
+    kps = nms_3x3(kps, level.width(), level.height());
+    std::sort(kps.begin(), kps.end(), [&](const Keypoint& a,
+                                          const Keypoint& b) {
+      return std::pair{a.x, a.y} < std::pair{b.x, b.y};  // column-major
+    });
+    const ImageU8 smoothed = smooth_gaussian7_u8(level);
+    for (Keypoint kp : kps) {
+      std::int64_t m10, m01;
+      patch_moments(smoothed, kp.x, kp.y, m10, m01);
+      kp.orientation_label = orientation_label_hw(m10, m01);
+      Feature f;
+      f.descriptor =
+          compute_descriptor(smoothed, kp.x, kp.y, hw.pattern().base())
+              .rotated_bytes(kp.orientation_label);
+      f.keypoint = kp;
+      heap.offer(f);
+      ++described;
+    }
+  }
+  const FeatureList want = heap.drain();
+
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_GT(want.size(), 200u);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].keypoint.x, want[i].keypoint.x) << i;
+    EXPECT_EQ(got[i].keypoint.y, want[i].keypoint.y) << i;
+    EXPECT_EQ(got[i].keypoint.level, want[i].keypoint.level) << i;
+    EXPECT_EQ(got[i].keypoint.score, want[i].keypoint.score) << i;
+    EXPECT_EQ(got[i].keypoint.orientation_label,
+              want[i].keypoint.orientation_label)
+        << i;
+    EXPECT_EQ(got[i].descriptor, want[i].descriptor) << i;
+  }
+  EXPECT_EQ(hw.report().described, described);
+  EXPECT_EQ(hw.report().described, hw.report().detected);
+  EXPECT_EQ(hw.report().heap_cycles, heap.cycles());
 }
 
 // --- BriefMatcherHw ---------------------------------------------------------

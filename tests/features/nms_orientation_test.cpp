@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "../test_util.h"
 #include "features/nms.h"
 #include "features/orientation.h"
@@ -87,6 +90,69 @@ TEST(Nms, MatchesBruteForceOracle) {
     expected += survives;
   }
   EXPECT_EQ(out.size(), expected);
+}
+
+TEST(Nms, RowEndsDoNotAlias) {
+  // (31, 5) is the last pixel of its row; (0, 6) starts the next row but
+  // is 31 columns away, so neither suppresses the other.
+  const std::vector<Keypoint> in = {kp(31, 5, 10), kp(0, 6, 20)};
+  EXPECT_EQ(nms_3x3(in, 32, 32).size(), 2u);
+  const std::vector<Keypoint> reversed = {kp(0, 6, 20), kp(31, 5, 10)};
+  EXPECT_EQ(nms_3x3(reversed, 32, 32).size(), 2u);
+}
+
+TEST(Nms, MatchesBruteForceOracleWithTiesBordersAndAnyOrder) {
+  // Small grids packed with keypoints: scores from {0..3} force ties,
+  // coordinates cover every border pixel, the input order is shuffled and
+  // duplicates at one pixel occur.  Only the first keypoint at a pixel is
+  // a neighbour of the others; a survivor beats every neighbour strictly
+  // or ties with a later one.  One scratch is recycled across every case.
+  std::mt19937 rng(23);
+  NmsScratch scratch;
+  std::vector<Keypoint> out;
+  std::size_t survivors = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int w = 1 + static_cast<int>(rng() % 12);
+    const int h = 1 + static_cast<int>(rng() % 12);
+    const int n = static_cast<int>(rng() % static_cast<unsigned>(w * h + 4));
+    std::vector<Keypoint> in;
+    for (int i = 0; i < n; ++i)
+      in.push_back(kp(static_cast<int>(rng() % static_cast<unsigned>(w)),
+                      static_cast<int>(rng() % static_cast<unsigned>(h)),
+                      static_cast<std::int64_t>(rng() % 4)));
+    std::shuffle(in.begin(), in.end(), rng);
+
+    std::vector<Keypoint> want;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      bool survives = true;
+      for (std::size_t j = 0; j < in.size(); ++j) {
+        const int dx = std::abs(in[i].x - in[j].x);
+        const int dy = std::abs(in[i].y - in[j].y);
+        if (dx > 1 || dy > 1 || (dx == 0 && dy == 0)) continue;
+        bool first_at_pixel = true;
+        for (std::size_t k = 0; k < j; ++k)
+          if (in[k].x == in[j].x && in[k].y == in[j].y) first_at_pixel = false;
+        if (first_at_pixel &&
+            (in[j].score > in[i].score ||
+             (in[j].score == in[i].score && j < i)))
+          survives = false;
+      }
+      if (survives) want.push_back(in[i]);
+    }
+
+    nms_3x3_into(in, w, h, scratch, out);
+    ASSERT_EQ(out.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(out[i].x, want[i].x) << "trial " << trial << " survivor " << i;
+      EXPECT_EQ(out[i].y, want[i].y) << "trial " << trial << " survivor " << i;
+      EXPECT_EQ(out[i].score, want[i].score)
+          << "trial " << trial << " survivor " << i;
+    }
+    survivors += want.size();
+  }
+  EXPECT_GT(survivors, 1000u);
+  // The grid is back to empty after every call.
+  for (const std::int32_t cell : scratch.grid) ASSERT_EQ(cell, -1);
 }
 
 TEST(Orientation, CircleSpanIsRadius15Disc) {

@@ -1,5 +1,5 @@
 // Scalar-vs-SIMD parity: the dispatched kernels (features/simd_kernels,
-// FAST detection) and the allocation-free matcher/gate tiers built on them
+// FAST detection, Harris scoring) and the allocation-free matcher/gate tiers built on them
 // must be BIT-exact with the scalar reference paths — same corners in the
 // same order, same Hamming distances, same lowest-index tie winners, same
 // projected pixels, same candidate lists.
@@ -18,6 +18,7 @@
 #include "../test_util.h"
 #include "features/descriptor_soa.h"
 #include "features/fast.h"
+#include "features/harris.h"
 #include "features/matcher.h"
 #include "features/simd_kernels.h"
 #include "geometry/camera.h"
@@ -376,6 +377,85 @@ TEST(SimdParity, FastMatchesReferenceOnSaturatedImages) {
     compared += expect_fast_parity(binary, "binary");
   }
   EXPECT_GT(compared, 1000u);
+}
+
+// ---- Harris ----------------------------------------------------------------
+
+// Dispatched harris_score_int vs the at() reference at every valid point
+// (x, y in [4, size - 5]); returns the points compared.  An image's pixel
+// buffer ends at its last pixel, so a tier that read past column x + 4 or
+// row y + 4 on the last valid row or column would leave the buffer (the
+// sanitizer builds report it).
+std::size_t expect_harris_parity(const ImageU8& img, const char* what) {
+  std::size_t compared = 0;
+  for (int y = 4; y < img.height() - 4; ++y)
+    for (int x = 4; x < img.width() - 4; ++x) {
+      const std::int64_t want = eslam::testing::harris_at_reference(img, x, y);
+      const std::int64_t got = harris_score_int(img, x, y);
+      if (got != want) {
+        ADD_FAILURE() << what << " " << img.width() << "x" << img.height()
+                      << " (" << x << "," << y << "): " << got << " vs "
+                      << want;
+        return compared;
+      }
+      ++compared;
+    }
+  return compared;
+}
+
+TEST(SimdParity, HarrisMatchesReferenceAcrossSizes) {
+  // 9 is the smallest side with a valid point; every width from 9 to 40
+  // puts windows on the last valid column at every alignment.
+  std::mt19937_64 rng(21);
+  std::size_t compared = 0;
+  for (int w = 9; w <= 40; ++w)
+    for (const int h : {9, 10, 23}) {
+      compared += expect_harris_parity(random_image(rng, w, h, 0, 255),
+                                       "random");
+      compared += expect_harris_parity(
+          eslam::testing::structured_test_image(
+              w, h, static_cast<std::uint32_t>(w * 31 + h)),
+          "structured");
+    }
+  compared += expect_harris_parity(random_image(rng, 640, 480, 0, 255),
+                                   "random vga");
+  EXPECT_GT(compared, 300000u);
+}
+
+TEST(SimdParity, HarrisMatchesReferenceOnFlatAndExtremeImages) {
+  // Flat 0 / 255 images score 0.  2-pixel stripes put |gx| or |gy| at its
+  // 1020 maximum (>> 3 gives -128 / 127, the int16 and madd extremes);
+  // binary checkerboards and binary noise mix both signs.
+  std::mt19937_64 rng(22);
+  std::size_t compared = 0;
+  for (const int w : {9, 17, 33, 64}) {
+    const int h = 19;
+    for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{255}}) {
+      const ImageU8 flat(w, h, v);
+      compared += expect_harris_parity(flat, "flat");
+      EXPECT_EQ(harris_score_int(flat, 4, 4), 0);
+    }
+    using Pattern = int (*)(int, int);
+    const Pattern patterns[] = {
+        [](int x, int) { return (x / 2) % 2; },            // vertical stripes
+        [](int, int y) { return (y / 2) % 2; },            // horizontal
+        [](int x, int y) { return (x / 2 + y / 2) % 2; },  // 2x2 checkers
+        [](int x, int y) { return (x + y) % 2; },          // 1x1 checkers
+        [](int x, int y) { return (x / 2 + y) % 2; },
+    };
+    for (const Pattern pattern : patterns)
+      for (const bool inverted : {false, true}) {
+        ImageU8 img(w, h);
+        for (int y = 0; y < h; ++y)
+          for (int x = 0; x < w; ++x)
+            img.at(x, y) = (pattern(x, y) != 0) != inverted ? 255 : 0;
+        compared += expect_harris_parity(img, "binary pattern");
+      }
+    ImageU8 noise = random_image(rng, w, h, 0, 1);
+    for (auto& p : noise.data()) p = p ? 255 : 0;
+    compared += expect_harris_parity(noise, "binary noise");
+  }
+  EXPECT_GT(compared, 2000u);
 }
 
 // ---- Gate ------------------------------------------------------------------

@@ -74,4 +74,28 @@ inline ImageU8 corner_image(int w, int h, int cx, int cy) {
   return img;
 }
 
+// The integer Harris formula read pixel by pixel through the asserted
+// Image::at(), 64-bit sums — the pin every harris_score_int tier must
+// reproduce exactly.
+inline std::int64_t harris_at_reference(const ImageU8& img, int x, int y) {
+  std::int64_t sxx = 0, syy = 0, sxy = 0;
+  for (int dy = -3; dy <= 3; ++dy)
+    for (int dx = -3; dx <= 3; ++dx) {
+      const int px = x + dx, py = y + dy;
+      const int a = img.at(px - 1, py - 1), b = img.at(px, py - 1),
+                c = img.at(px + 1, py - 1);
+      const int d = img.at(px - 1, py), f = img.at(px + 1, py);
+      const int g = img.at(px - 1, py + 1), h = img.at(px, py + 1),
+                i = img.at(px + 1, py + 1);
+      const int gx = ((c + 2 * f + i) - (a + 2 * d + g)) >> 3;
+      const int gy = ((g + 2 * h + i) - (a + 2 * b + c)) >> 3;
+      sxx += gx * gx;
+      syy += gy * gy;
+      sxy += gx * gy;
+    }
+  const std::int64_t det = sxx * syy - sxy * sxy;
+  const std::int64_t tr = sxx + syy;
+  return det - ((41 * tr * tr) >> 10);
+}
+
 }  // namespace eslam::testing
