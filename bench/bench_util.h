@@ -54,35 +54,33 @@ class DeviceEmulationBackend final : public FeatureBackend {
         fe_ms_(fe_ms),
         fm_floor_ms_(fm_floor_ms) {}
 
-  FeatureList extract(const ImageU8&) override {
+  void extract_into(const ImageU8&, FeatureList& out) override {
     const WallTimer timer;
-    FeatureList features = precomputed_[next_frame_++ % precomputed_.size()];
+    out = precomputed_[next_frame_++ % precomputed_.size()];
     sleep_until_elapsed(timer, fe_ms_);
     extract_ms_.store(timer.elapsed_ms());
-    return features;
   }
 
-  std::vector<Match> match(std::span<const Descriptor256> queries,
-                           std::span<const Descriptor256> train) override {
+  void match_into(std::span<const Feature> queries, const TrainView& train,
+                  Arena* scratch, std::vector<Match>& out) override {
     const WallTimer timer;
-    std::vector<Match> matches = match_descriptors(queries, train, matcher_);
+    match_descriptors_into(queries, train, matcher_, scratch, out);
     sleep_until_elapsed(timer, fm_floor_ms_);
     match_ms_.store(timer.elapsed_ms());
-    return matches;
   }
 
   // Gated tier: the same device floor applies (the modeled fabric answers
   // no slower gated than full-scan), so the emulated schedule is
   // conservative while the functional result is the real windowed search.
-  std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
-                                      std::span<const Descriptor256> train,
-                                      const CandidateSet& candidates) override {
+  void match_candidates_into(std::span<const Feature> queries,
+                             const TrainView& train,
+                             const CandidateSet& candidates, Arena* scratch,
+                             std::vector<Match>& out) override {
     const WallTimer timer;
-    std::vector<Match> matches =
-        eslam::match_candidates(queries, train, candidates, matcher_);
+    eslam::match_candidates_into(queries, train, candidates, matcher_,
+                                 scratch, out);
     sleep_until_elapsed(timer, fm_floor_ms_);
     match_ms_.store(timer.elapsed_ms());
-    return matches;
   }
 
   double last_extract_time_ms() const override { return extract_ms_.load(); }

@@ -9,21 +9,6 @@
 #include "bench_util.h"
 #include "dataset/scene.h"
 
-namespace {
-
-using namespace eslam;
-
-std::vector<Descriptor256> synthetic_descriptors(std::size_t n) {
-  std::vector<Descriptor256> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (int w = 0; w < 4; ++w)
-      v[i].words()[static_cast<std::size_t>(w)] =
-          0x9e3779b97f4a7c15ull * (i * 4 + static_cast<std::size_t>(w) + 1);
-  return v;
-}
-
-}  // namespace
-
 int main() {
   using namespace eslam;
   using namespace eslam::bench;
@@ -73,15 +58,14 @@ int main() {
               "stream); the budget instead sets FM work and map growth.\n\n");
 
   // ---- matcher parallelism -------------------------------------------------
-  const auto queries = synthetic_descriptors(1024);
-  const auto map3k = synthetic_descriptors(3000);
+  constexpr std::size_t kQueries = 1024;  // the paper's feature budget
   Table par({"distance units P", "FM latency", "speedup vs P=1"});
   double p1_ms = 0;
   for (int p : {1, 2, 4, 8, 16, 32}) {
     HwMatcherConfig cfg;
     cfg.parallelism = p;
     BriefMatcherHw hw(cfg);
-    hw.match(queries, map3k);
+    hw.simulate(kQueries, 3000);
     if (p == 1) p1_ms = hw.report().ms();
     par.add_row({std::to_string(p), ms(hw.report().ms(), 2),
                  Table::fmt_ratio(p1_ms / hw.report().ms(), 2)});
@@ -93,7 +77,7 @@ int main() {
   Table mapsz({"map points", "FM latency", "vs paper 4.0 ms"});
   for (int m : {1000, 2000, 3000, 5000, 10000}) {
     BriefMatcherHw hw;
-    hw.match(queries, synthetic_descriptors(static_cast<std::size_t>(m)));
+    hw.simulate(kQueries, static_cast<std::size_t>(m));
     mapsz.add_row({std::to_string(m), ms(hw.report().ms(), 2),
                    Table::fmt_ratio(hw.report().ms() / 4.0, 2)});
   }

@@ -52,17 +52,9 @@ int main() {
   std::printf("AXI: %.1f KB read, %.1f KB written\n\n",
               rep.axi_bytes_read / 1024.0, rep.axi_bytes_written / 1024.0);
 
-  // Matcher against a synthetic 3000-point map descriptor set.
-  std::vector<Descriptor256> map_desc(3000);
-  for (std::size_t i = 0; i < map_desc.size(); ++i)
-    for (int w = 0; w < 4; ++w)
-      map_desc[i].words()[static_cast<std::size_t>(w)] =
-          0x9e3779b97f4a7c15ull * (i * 4 + static_cast<std::size_t>(w) + 1);
-  std::vector<Descriptor256> query;
-  for (const Feature& f : features) query.push_back(f.descriptor);
-
+  // Matcher: the extracted features against a 3000-point map.
   BriefMatcherHw matcher;
-  matcher.match(query, map_desc);
+  matcher.simulate(features.size(), 3000);
   const HwMatcherReport& mrep = matcher.report();
   std::printf("BRIEF Matcher: %d queries x %d map points\n", mrep.queries,
               mrep.map_points);

@@ -7,8 +7,8 @@
 // mutable state — cycle reports, wall timers and the last-stage timing
 // caches — so N sessions never share a mutable backend.  The only fields
 // read across threads are the atomic last_*_time_ms() caches (stats
-// readers poll them while a device lane drives extract()/match()), which
-// is why they must stay atomics (see FeatureBackend).
+// readers poll them while a device lane drives extraction and matching),
+// which is why they must stay atomics (see FeatureBackend).
 #pragma once
 
 #include <memory>

@@ -7,49 +7,26 @@ AcceleratedBackend::AcceleratedBackend(const HwExtractorConfig& extractor,
                                        const MatcherOptions& accept)
     : extractor_(extractor), matcher_(matcher), accept_(accept) {}
 
-FeatureList AcceleratedBackend::extract(const ImageU8& image) {
-  FeatureList features = extractor_.extract(image);
+void AcceleratedBackend::extract_into(const ImageU8& image, FeatureList& out) {
+  extractor_.extract_into(image, out);
   extract_ms_.store(extractor_.report().ms());
-  return features;
 }
 
-namespace {
-
-// Host-side acceptance gates (distance threshold, ratio) over the fabric's
-// raw minimum-distance results; they run on the ARM and are negligible
-// next to PnP, so they are not separately timed.  Shared by the full-scan
-// and gated tiers so the tiers only differ in how candidates are found.
-std::vector<Match> apply_acceptance(std::vector<Match> raw,
-                                    const MatcherOptions& accept) {
-  std::vector<Match> accepted;
-  accepted.reserve(raw.size());
-  for (const Match& m : raw) {
-    if (m.train < 0 || m.distance > accept.max_distance) continue;
-    if (accept.ratio < 1.0 && !(m.distance < accept.ratio * m.second_best))
-      continue;
-    accepted.push_back(m);
-  }
-  return accepted;
-}
-
-}  // namespace
-
-std::vector<Match> AcceleratedBackend::match(
-    std::span<const Descriptor256> queries,
-    std::span<const Descriptor256> train) {
-  std::vector<Match> accepted =
-      apply_acceptance(matcher_.match(queries, train), accept_);
+void AcceleratedBackend::match_into(std::span<const Feature> queries,
+                                    const TrainView& train, Arena* scratch,
+                                    std::vector<Match>& out) {
+  match_descriptors_into(queries, train, accept_, scratch, out);
+  matcher_.simulate(queries.size(), train.size());
   match_ms_.store(matcher_.report().ms());
-  return accepted;
 }
 
-std::vector<Match> AcceleratedBackend::match_candidates(
-    std::span<const Descriptor256> queries,
-    std::span<const Descriptor256> train, const CandidateSet& candidates) {
-  std::vector<Match> accepted = apply_acceptance(
-      matcher_.match_candidates(queries, train, candidates), accept_);
+void AcceleratedBackend::match_candidates_into(
+    std::span<const Feature> queries, const TrainView& train,
+    const CandidateSet& candidates, Arena* scratch, std::vector<Match>& out) {
+  eslam::match_candidates_into(queries, train, candidates, accept_, scratch,
+                               out);
+  matcher_.simulate_candidates(train.size(), candidates);
   match_ms_.store(matcher_.report().ms());
-  return accepted;
 }
 
 }  // namespace eslam

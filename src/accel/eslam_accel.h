@@ -3,7 +3,15 @@
 // "eSLAM mode".  Reported stage times are simulated FPGA milliseconds
 // (cycles / 100 MHz), not wall clock.
 //
-// Concurrency: extract() and match() must be driven from one thread (the
+// Matching follows the paper's Fig-7 split: the fabric returns each
+// query's raw minimum-distance match and the ARM host applies the
+// acceptance gates (MatcherOptions: distance, ratio, cross-check).  Both
+// halves are the shared kernels of features/matcher.h run with `accept` —
+// the same code, tie rule and acceptance semantics as SoftwareBackend —
+// while BriefMatcherHw prices the call from its sizes and candidate
+// lists.  Host acceptance is negligible next to PnP and is not timed.
+//
+// Concurrency: the _into operations must be driven from one thread (the
 // pipeline runtime's FPGA lane), but last_*_time_ms() may be read from any
 // thread — the simulated durations are published into atomic caches when
 // each operation completes, so readers never touch the cycle reports of an
@@ -25,14 +33,15 @@ class AcceleratedBackend final : public FeatureBackend {
                               const HwMatcherConfig& matcher = {},
                               const MatcherOptions& accept = {});
 
-  FeatureList extract(const ImageU8& image) override;
-  std::vector<Match> match(std::span<const Descriptor256> queries,
-                           std::span<const Descriptor256> train) override;
+  void extract_into(const ImageU8& image, FeatureList& out) override;
+  void match_into(std::span<const Feature> queries, const TrainView& train,
+                  Arena* scratch, std::vector<Match>& out) override;
   // Gated tier: the fabric's candidate mode (BriefMatcherHw gated cycle
-  // model), with the same host-side acceptance gates as match().
-  std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
-                                      std::span<const Descriptor256> train,
-                                      const CandidateSet& candidates) override;
+  // model), with the same host-side acceptance gates as match_into().
+  void match_candidates_into(std::span<const Feature> queries,
+                             const TrainView& train,
+                             const CandidateSet& candidates, Arena* scratch,
+                             std::vector<Match>& out) override;
 
   double last_extract_time_ms() const override { return extract_ms_.load(); }
   double last_match_time_ms() const override { return match_ms_.load(); }

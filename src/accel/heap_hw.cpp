@@ -57,11 +57,9 @@ std::int64_t FilterHeap::min_score() const {
   return items_.front().keypoint.score;
 }
 
-FeatureList FilterHeap::drain() {
-  FeatureList out = std::move(items_);
+void FilterHeap::drain_into(FeatureList& out) {
+  out.assign(items_.begin(), items_.end());
   items_.clear();
-  items_.reserve(capacity_);
-  return out;
 }
 
 }  // namespace eslam

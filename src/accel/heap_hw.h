@@ -29,12 +29,17 @@ class FilterHeap {
   // Weakest currently-kept score (heap root); only valid when non-empty.
   std::int64_t min_score() const;
 
-  // Drains the heap contents (unspecified order, as the hardware streams
-  // them to SDRAM).  The heap is empty afterwards.
-  FeatureList drain();
+  // Drains the heap contents into `out` (unspecified order, as the
+  // hardware streams them to SDRAM), keeping both buffers' capacity.  The
+  // heap is empty afterwards.
+  void drain_into(FeatureList& out);
 
   std::uint64_t cycles() const { return cycles_; }
-  void reset_cycles() { cycles_ = 0; }
+  // Empties the heap and zeroes its cycle count (the start of a frame).
+  void reset() {
+    items_.clear();
+    cycles_ = 0;
+  }
 
   // Storage footprint in bits: capacity x (256b descriptor + 2 x 16b
   // coords + 32b score + 8b level/orientation).

@@ -6,20 +6,26 @@
 // into the Result Cache and back to SDRAM.  Map descriptors arrive from
 // SDRAM over AXI, double-buffered so the load overlaps compute.
 //
+// This class is the timing half only.  The fabric's functional result
+// (each query's minimum-distance map index, ties to the lowest index) is
+// exactly what the shared Hamming kernels in features/matcher.h compute,
+// so AcceleratedBackend takes its matches from those kernels and asks
+// this model for the cycles of the same call.  The cycle count depends
+// only on the workload's shape: set sizes and candidate-list lengths.
+//
 // Two modes share the datapath:
-//   * full scan (match): every query against every map descriptor — the
+//   * full scan (simulate): every query against every map descriptor — the
 //     load streams the whole map once, compute is |q| * ceil(m/P) cycles;
-//   * gated (match_candidates): the host's projection gate uploads
+//   * gated (simulate_candidates): the host's projection gate uploads
 //     per-query candidate index lists, and the fabric gathers only those
 //     descriptors — compute is sum_q max(1, ceil(|cand_q|/P)) cycles and
 //     the SDRAM load shrinks to the candidate descriptors plus the index
 //     lists themselves, so simulated FPGA time reflects the reduced
 //     workload.
+// An empty map leaves every cycle count at 0: the fabric is not started.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "features/matcher.h"
 #include "hw/axi.h"
@@ -49,19 +55,14 @@ class BriefMatcherHw {
  public:
   explicit BriefMatcherHw(const HwMatcherConfig& config = {});
 
-  // Minimum-distance match per query (no thresholding — the host applies
-  // acceptance gates, as in the paper where raw results return to SDRAM).
-  // Functionally identical to match_one() for every query.
-  std::vector<Match> match(std::span<const Descriptor256> queries,
-                           std::span<const Descriptor256> map_descriptors);
+  // Full scan of `queries` descriptors against `map_points` map
+  // descriptors; the cycle report is in report().
+  void simulate(std::size_t queries, std::size_t map_points);
 
-  // Gated mode: each query scans only its candidate list (ascending map
-  // indices).  Functionally identical to match_one_candidates() for every
-  // query; a query with an empty list reports train == -1.
-  std::vector<Match> match_candidates(
-      std::span<const Descriptor256> queries,
-      std::span<const Descriptor256> map_descriptors,
-      const CandidateSet& candidates);
+  // Gated mode: each of the candidates.num_queries() queries scans only its
+  // candidate list.
+  void simulate_candidates(std::size_t map_points,
+                           const CandidateSet& candidates);
 
   const HwMatcherReport& report() const { return report_; }
   const HwMatcherConfig& config() const { return config_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "accel/heap_hw.h"
 #include "accel/orientation_hw.h"
 #include "features/brief.h"
 #include "features/fast.h"
@@ -25,19 +24,27 @@ std::uint64_t arrival_cycle(int x, int y, int height) {
 }  // namespace
 
 OrbExtractorHw::OrbExtractorHw(const HwExtractorConfig& config)
-    : config_(config), pattern_(kDefaultPatternSeed) {
+    : config_(config),
+      pattern_(kDefaultPatternSeed),
+      heap_(static_cast<std::size_t>(std::max(config.n_features, 1))) {
   ESLAM_ASSERT(config.n_features > 0, "n_features must be positive");
   ESLAM_ASSERT(config.border >= kPatternRadius + 1,
                "border must cover the descriptor patch");
 }
 
 FeatureList OrbExtractorHw::extract(const ImageU8& image) {
+  FeatureList features;
+  extract_into(image, features);
+  return features;
+}
+
+void OrbExtractorHw::extract_into(const ImageU8& image, FeatureList& out) {
   std::vector<LevelCycleReport> levels = std::move(report_.levels);
   levels.clear();
   report_ = {};
   report_.levels = std::move(levels);
   AxiBusModel axi(config_.axi);
-  FilterHeap heap(static_cast<std::size_t>(config_.n_features));
+  heap_.reset();
 
   pyramid_.rebuild(image, config_.levels, config_.scale,
                    /*use_bilinear=*/false);
@@ -45,9 +52,8 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
   // On-chip buffers: Image Cache + Score Cache + Smoothened Image Cache,
   // all 3-line ping-pong structures (sized for the largest level), plus
   // the heap.
-  const LineBufferCache sizing_cache(image.height());
-  report_.onchip_bits =
-      3 * sizing_cache.storage_bits() + heap.storage_bits();
+  report_.onchip_bits = 3 * LineBufferCache::storage_bits_for(image.height()) +
+                        heap_.storage_bits();
 
   for (int li = 0; li < pyramid_.levels(); ++li) {
     const ImageU8& img = pyramid_.level(li).image;
@@ -130,9 +136,9 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
         // Heap insertion (the Filtering stage, overlapped with the stream).
         Feature f;
         f.keypoint = kp;
-        const std::uint64_t before = heap.cycles();
-        heap.offer(f);
-        const std::uint64_t cost = heap.cycles() - before;
+        const std::uint64_t before = heap_.cycles();
+        heap_.offer(f);
+        const std::uint64_t cost = heap_.cycles() - before;
         heap_free = std::max(heap_free, desc_free) + cost;
       }
       lvl.stall_cycles = stall;
@@ -147,7 +153,7 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
       for (const Keypoint& kp : kps_) {
         Feature f;
         f.keypoint = kp;
-        heap.offer(f);
+        heap_.offer(f);
       }
     }
 
@@ -155,30 +161,30 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
   }
 
   // ---- filtering result ----------------------------------------------------
-  FeatureList kept = heap.drain();
-  report_.heap_cycles = heap.cycles();
-  describe_kept(kept);
+  heap_.drain_into(out);
+  report_.heap_cycles = heap_.cycles();
+  describe_kept(out);
 
   if (config_.workflow == HwWorkflow::kOriginal) {
     // Descriptors are computed only for the N survivors, after filtering:
     // every patch is a random SDRAM fetch (the smoothened image no longer
     // sits in the stream caches) ...
     report_.describe_serial_cycles =
-        static_cast<std::uint64_t>(kept.size()) *
+        static_cast<std::uint64_t>(out.size()) *
         static_cast<std::uint64_t>(config_.random_patch_fetch_cycles +
                                    config_.describe_issue_cycles);
-    report_.described = static_cast<int>(kept.size());
+    report_.described = static_cast<int>(out.size());
     // ... and the smoothened image of every level must round-trip through
     // SDRAM.
     for (int li = 0; li < pyramid_.levels(); ++li)
       axi.write_cycles(pyramid_.level(li).image.pixel_count());
   }
 
-  report_.kept = static_cast<int>(kept.size());
+  report_.kept = static_cast<int>(out.size());
 
   // Results to SDRAM: descriptor (32 B) + coords/score/label (8 B) each.
   report_.writeback_cycles =
-      axi.write_cycles(static_cast<std::uint64_t>(kept.size()) * 40u);
+      axi.write_cycles(static_cast<std::uint64_t>(out.size()) * 40u);
 
   report_.total_cycles = 0;
   for (const LevelCycleReport& lvl : report_.levels)
@@ -187,7 +193,6 @@ FeatureList OrbExtractorHw::extract(const ImageU8& image) {
       report_.describe_serial_cycles + report_.writeback_cycles;
   report_.axi_bytes_read = axi.bytes_read();
   report_.axi_bytes_written = axi.bytes_written();
-  return kept;
 }
 
 void OrbExtractorHw::describe_kept(FeatureList& kept) {

@@ -14,6 +14,11 @@
 // hold a survivor.  The cycle model still charges the describe work of the
 // workflow it models.
 //
+// extract_into() is the one implementation.  The pyramid, keypoint, NMS,
+// smoothing and heap buffers are members recycled across frames, and the
+// kept features drain into the caller's recycled list, so a steady-state
+// frame makes no heap allocation.  extract() is a returning wrapper.
+//
 // Timing follows the streaming contract of section 3.1: pixels enter at 1
 // pixel/cycle from the ping-pong Image Cache; per-keypoint work (BRIEF
 // Computing, heap insertion) runs in parallel units fed by small FIFOs, so
@@ -26,6 +31,7 @@
 
 #include <vector>
 
+#include "accel/heap_hw.h"
 #include "features/keypoint.h"
 #include "features/nms.h"
 #include "features/pattern.h"
@@ -105,7 +111,9 @@ class OrbExtractorHw {
  public:
   explicit OrbExtractorHw(const HwExtractorConfig& config = {});
 
-  // Extracts features; the cycle report for this frame is in report().
+  // Extracts features into `out`; the cycle report for this frame is in
+  // report().  Not reentrant (the scratch is per-extractor state).
+  void extract_into(const ImageU8& image, FeatureList& out);
   FeatureList extract(const ImageU8& image);
 
   const HwExtractorReport& report() const { return report_; }
@@ -120,7 +128,8 @@ class OrbExtractorHw {
   HwExtractorConfig config_;
   RsBriefPattern pattern_;
   HwExtractorReport report_;
-  // Per-frame scratch, reused across extract() calls.
+  // Per-frame scratch, reused across extract_into() calls.
+  FilterHeap heap_;  // reset at the start of each frame
   ImagePyramid pyramid_;
   std::vector<Keypoint> raw_kps_;
   std::vector<Keypoint> kps_;  // NMS survivors of the current level

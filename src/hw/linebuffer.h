@@ -55,9 +55,12 @@ class LineBufferCache {
   const std::vector<CacheFsmEvent>& trace() const { return trace_; }
 
   // On-chip storage the cache occupies, in bits (BRAM sizing).
-  std::size_t storage_bits() const {
+  std::size_t storage_bits() const { return storage_bits_for(height_); }
+  // The same for a cache of `height` pixels per column, without building
+  // one.
+  static std::size_t storage_bits_for(int height) {
     return static_cast<std::size_t>(kLines) * kColumnsPerLine *
-           static_cast<std::size_t>(height_) * 8;
+           static_cast<std::size_t>(height) * 8;
   }
 
  private:

@@ -98,7 +98,7 @@ class Tracker {
   // before the device lane matches frame N speculatively, and identical
   // in sequential and pipelined execution), map points are projection-
   // gated into per-feature candidate lists and matched via the backend's
-  // match_candidates(); otherwise, or when gating yields fewer than
+  // match_candidates_into(); otherwise, or when gating yields fewer than
   // MatchPolicy::min_gated_matches matches, the full-map brute-force tier
   // runs (bootstrap / relocalization behavior unchanged).
   void match(FrameState& fs);

@@ -7,36 +7,45 @@
 
 namespace eslam {
 
-SoftwareBackend::SoftwareBackend(const OrbConfig& orb,
-                                 const MatcherOptions& matcher)
-    : extractor_(orb), matcher_options_(matcher) {}
+namespace {
 
-FeatureList SoftwareBackend::extract(const ImageU8& image) {
-  const WallTimer timer;
-  FeatureList features = extractor_.extract(image);
-  extract_ms_.store(timer.elapsed_ms());
+// The _into forms read queries straight from a FeatureList; the returning
+// adapters wrap bare descriptors as features.
+std::vector<Feature> as_features(std::span<const Descriptor256> descriptors) {
+  std::vector<Feature> features(descriptors.size());
+  for (std::size_t i = 0; i < descriptors.size(); ++i)
+    features[i].descriptor = descriptors[i];
   return features;
 }
 
-std::vector<Match> SoftwareBackend::match(
+}  // namespace
+
+FeatureList FeatureBackend::extract(const ImageU8& image) {
+  FeatureList features;
+  extract_into(image, features);
+  return features;
+}
+
+std::vector<Match> FeatureBackend::match(
     std::span<const Descriptor256> queries,
     std::span<const Descriptor256> train) {
-  const WallTimer timer;
-  std::vector<Match> matches = match_descriptors(queries, train,
-                                                 matcher_options_);
-  match_ms_.store(timer.elapsed_ms());
+  std::vector<Match> matches;
+  match_into(as_features(queries), TrainView{train}, nullptr, matches);
   return matches;
 }
 
-std::vector<Match> SoftwareBackend::match_candidates(
+std::vector<Match> FeatureBackend::match_candidates(
     std::span<const Descriptor256> queries,
     std::span<const Descriptor256> train, const CandidateSet& candidates) {
-  const WallTimer timer;
-  std::vector<Match> matches =
-      eslam::match_candidates(queries, train, candidates, matcher_options_);
-  match_ms_.store(timer.elapsed_ms());
+  std::vector<Match> matches;
+  match_candidates_into(as_features(queries), TrainView{train}, candidates,
+                        nullptr, matches);
   return matches;
 }
+
+SoftwareBackend::SoftwareBackend(const OrbConfig& orb,
+                                 const MatcherOptions& matcher)
+    : extractor_(orb), matcher_options_(matcher) {}
 
 void SoftwareBackend::extract_into(const ImageU8& image, FeatureList& out) {
   const WallTimer timer;

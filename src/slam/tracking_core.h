@@ -1,8 +1,8 @@
 // The per-frame tracking core shared by the mapping Tracker and the
 // read-only Localizer: feature matching -> pose estimation -> pose
 // optimization over one FrameState (the paper's FM -> PE -> PO).  Feature
-// extraction is the backend's extract(); map updating is the Tracker's
-// alone.
+// extraction is the backend's extract_into(); map updating is the
+// Tracker's alone.
 //
 // The core owns everything both session kinds agree on: the match-tier
 // selection (projection gate -> keyframe-recognition relocalization ->
@@ -44,49 +44,40 @@ namespace eslam {
 // FPGA fabric).  last_*_time_ms() report the backend's own notion of time:
 // wall-clock for software, cycles / 100 MHz for the simulated accelerator.
 //
-// Matching is two-tier: match() is the full-scan tier (bootstrap /
-// relocalization / fallback), match_candidates() the gated tier — each
-// query scans only the candidate list the projection gate built for it.
-// Every backend must implement both with consistent acceptance semantics,
-// so the tracker can fall back between tiers within one frame.
+// Matching is two-tier: match_into() is the full-scan tier (bootstrap /
+// relocalization / fallback), match_candidates_into() the gated tier —
+// each query scans only the candidate list the projection gate built for
+// it.  Every backend must implement both with consistent acceptance
+// semantics, so the tracker can fall back between tiers within one frame.
+//
+// A backend implements only the three _into forms: outputs land in
+// recycled buffers, matcher scratch comes from the frame's arena, and the
+// train side arrives as a TrainView so the map's word-plane mirror feeds
+// the SIMD kernels.  The returning forms are adapters over them, shared by
+// every backend; they stage descriptors and allocate, so only cold callers
+// (tests, benches, one-off probes) use them.  They stay virtual only
+// because the repo benchmark's timing wrapper (perfbench's TimedBackend)
+// overrides them.
 class FeatureBackend {
  public:
   virtual ~FeatureBackend() = default;
-  virtual FeatureList extract(const ImageU8& image) = 0;
-  virtual std::vector<Match> match(std::span<const Descriptor256> queries,
-                                   std::span<const Descriptor256> train) = 0;
-  virtual std::vector<Match> match_candidates(
-      std::span<const Descriptor256> queries,
-      std::span<const Descriptor256> train,
-      const CandidateSet& candidates) = 0;
 
-  // Allocation-free variants the tracker's hot path calls: outputs land in
-  // recycled buffers, matcher scratch comes from the frame's arena, and the
-  // train side arrives as a TrainView so SoA-capable backends can use the
-  // map's word-plane mirror.  The default adapters below stage through the
-  // allocating API, so existing backends (the simulated fabric, test mocks)
-  // keep working unchanged; backends on the steady-state path override.
-  virtual void extract_into(const ImageU8& image, FeatureList& out) {
-    out = extract(image);
-  }
+  virtual void extract_into(const ImageU8& image, FeatureList& out) = 0;
   virtual void match_into(std::span<const Feature> queries,
-                          const TrainView& train, Arena* /*scratch*/,
-                          std::vector<Match>& out) {
-    std::vector<Descriptor256> staged;
-    staged.reserve(queries.size());
-    for (const Feature& f : queries) staged.push_back(f.descriptor);
-    out = match(staged, train.aos);
-  }
+                          const TrainView& train, Arena* scratch,
+                          std::vector<Match>& out) = 0;
   virtual void match_candidates_into(std::span<const Feature> queries,
                                      const TrainView& train,
                                      const CandidateSet& candidates,
-                                     Arena* /*scratch*/,
-                                     std::vector<Match>& out) {
-    std::vector<Descriptor256> staged;
-    staged.reserve(queries.size());
-    for (const Feature& f : queries) staged.push_back(f.descriptor);
-    out = match_candidates(staged, train.aos, candidates);
-  }
+                                     Arena* scratch,
+                                     std::vector<Match>& out) = 0;
+
+  virtual FeatureList extract(const ImageU8& image);
+  virtual std::vector<Match> match(std::span<const Descriptor256> queries,
+                                   std::span<const Descriptor256> train);
+  virtual std::vector<Match> match_candidates(
+      std::span<const Descriptor256> queries,
+      std::span<const Descriptor256> train, const CandidateSet& candidates);
 
   virtual double last_extract_time_ms() const = 0;
   virtual double last_match_time_ms() const = 0;
@@ -95,19 +86,13 @@ class FeatureBackend {
 
 // Software backend: OrbExtractor + Hamming matching kernels, timed by wall
 // clock.  The timing caches are atomics so the last-stage times can be
-// read from a different thread than the one driving extract()/match() (the
-// pipeline runtime runs both on its FPGA-model lane while stats readers
-// poll).
+// read from a different thread than the one driving extraction and
+// matching (the pipeline runtime runs both on its FPGA-model lane while
+// stats readers poll).
 class SoftwareBackend final : public FeatureBackend {
  public:
   explicit SoftwareBackend(const OrbConfig& orb = {},
                            const MatcherOptions& matcher = {});
-  FeatureList extract(const ImageU8& image) override;
-  std::vector<Match> match(std::span<const Descriptor256> queries,
-                           std::span<const Descriptor256> train) override;
-  std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
-                                      std::span<const Descriptor256> train,
-                                      const CandidateSet& candidates) override;
   void extract_into(const ImageU8& image, FeatureList& out) override;
   void match_into(std::span<const Feature> queries, const TrainView& train,
                   Arena* scratch, std::vector<Match>& out) override;

@@ -103,14 +103,19 @@ TEST(ExtractorHw, MatchesSoftwareKeypointsAndDescriptors) {
 }
 
 TEST(ExtractorHw, DeterministicAcrossRuns) {
+  // `a` first extracts another frame into the same recycled list: the
+  // heap, scratch buffers and output carry nothing across frames.
   OrbExtractorHw a, b;
   const ImageU8 img = rendered_frame(3);
-  const FeatureList fa = a.extract(img);
+  FeatureList fa;
+  a.extract_into(rendered_frame(1), fa);
+  a.extract_into(img, fa);
   const FeatureList fb = b.extract(img);
   ASSERT_EQ(fa.size(), fb.size());
   for (std::size_t i = 0; i < fa.size(); ++i)
     EXPECT_EQ(fa[i].descriptor, fb[i].descriptor);
   EXPECT_EQ(a.report().total_cycles, b.report().total_cycles);
+  EXPECT_EQ(a.report().heap_cycles, b.report().heap_cycles);
 }
 
 TEST(ExtractorHw, RescheduledBeatsOriginalWorkflowLatency) {
@@ -213,7 +218,8 @@ TEST(ExtractorHw, KeptFeaturesEqualDescribeAllRecomputation) {
       ++described;
     }
   }
-  const FeatureList want = heap.drain();
+  FeatureList want;
+  heap.drain_into(want);
 
   ASSERT_EQ(got.size(), want.size());
   ASSERT_GT(want.size(), 200u);
@@ -233,36 +239,17 @@ TEST(ExtractorHw, KeptFeaturesEqualDescribeAllRecomputation) {
 }
 
 // --- BriefMatcherHw ---------------------------------------------------------
+//
+// The cycle model only: the matcher's functional result is the shared
+// Hamming kernels', tested through AcceleratedBackend in backend_test.cpp.
 
-std::vector<Descriptor256> random_set(std::size_t n, std::uint32_t seed) {
-  eslam::testing::rng(seed);
-  std::vector<Descriptor256> v(n);
-  for (auto& d : v) d = eslam::testing::random_descriptor();
-  return v;
-}
-
-TEST(MatcherHw, ResultsMatchSoftwareReference) {
-  const auto queries = random_set(64, 601);
-  const auto train = random_set(500, 602);
-  BriefMatcherHw hw;
-  const auto matches = hw.match(queries, train);
-  ASSERT_EQ(matches.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Match ref = match_one(queries[i], train);
-    EXPECT_EQ(matches[i].train, ref.train);
-    EXPECT_EQ(matches[i].distance, ref.distance);
-    EXPECT_EQ(matches[i].second_best, ref.second_best);
-    EXPECT_EQ(matches[i].query, static_cast<int>(i));
-  }
-}
+using eslam::testing::window_lists;
 
 TEST(MatcherHw, CycleFormula) {
-  const auto queries = random_set(100, 603);
-  const auto train = random_set(1000, 604);
   HwMatcherConfig cfg;
   cfg.parallelism = 8;
   BriefMatcherHw hw(cfg);
-  hw.match(queries, train);
+  hw.simulate(100, 1000);
   // 100 queries x ceil(1000/8) batches + pipeline depth.
   EXPECT_EQ(hw.report().compute_cycles,
             100u * 125u + static_cast<std::uint64_t>(cfg.pipeline_depth));
@@ -270,41 +257,42 @@ TEST(MatcherHw, CycleFormula) {
 
 TEST(MatcherHw, PaperOperatingPointLatency) {
   // 1024 features vs ~3000-point map at P=8 must land near 4 ms (paper).
-  const auto queries = random_set(1024, 605);
-  const auto train = random_set(3000, 606);
   BriefMatcherHw hw;
-  hw.match(queries, train);
+  hw.simulate(1024, 3000);
   EXPECT_GT(hw.report().ms(), 3.0);
   EXPECT_LT(hw.report().ms(), 4.5);
 }
 
 TEST(MatcherHw, ParallelismScalesCompute) {
-  const auto queries = random_set(64, 607);
-  const auto train = random_set(512, 608);
   HwMatcherConfig p8, p16;
   p8.parallelism = 8;
   p16.parallelism = 16;
   BriefMatcherHw hw8(p8), hw16(p16);
-  hw8.match(queries, train);
-  hw16.match(queries, train);
+  hw8.simulate(64, 512);
+  hw16.simulate(64, 512);
   EXPECT_NEAR(static_cast<double>(hw8.report().compute_cycles) /
                   static_cast<double>(hw16.report().compute_cycles),
               2.0, 0.1);
 }
 
-TEST(MatcherHw, EmptyMapReturnsNothing) {
-  const auto queries = random_set(5, 609);
+TEST(MatcherHw, EmptyMapCostsNoCycles) {
+  // The fabric is not started against an empty map, in either mode.
   BriefMatcherHw hw;
-  EXPECT_TRUE(hw.match(queries, {}).empty());
+  hw.simulate(5, 0);
+  EXPECT_EQ(hw.report().queries, 5);
+  EXPECT_EQ(hw.report().total_cycles, 0u);
+  const CandidateSet set = window_lists(3, 10, 4);
+  hw.simulate_candidates(0, set);
+  EXPECT_TRUE(hw.report().gated);
+  EXPECT_EQ(hw.report().candidates, set.total_candidates());
+  EXPECT_EQ(hw.report().total_cycles, 0u);
 }
 
 TEST(MatcherHw, LoadOverlapsComputeAtPaperScale) {
   // At the paper operating point, descriptor loading (4 cycles/point at
   // 8 B/cycle) is far below compute (128 cycles/point) — fully hidden.
-  const auto queries = random_set(1024, 610);
-  const auto train = random_set(2000, 611);
   BriefMatcherHw hw;
-  hw.match(queries, train);
+  hw.simulate(1024, 2000);
   EXPECT_LT(hw.report().load_cycles, hw.report().compute_cycles / 10);
   EXPECT_EQ(hw.report().total_cycles,
             hw.report().compute_cycles + hw.report().writeback_cycles);
@@ -312,78 +300,38 @@ TEST(MatcherHw, LoadOverlapsComputeAtPaperScale) {
 
 // --- gated mode -------------------------------------------------------------
 
-CandidateSet window_lists(std::size_t queries, std::size_t train,
-                          std::size_t per_query) {
-  CandidateSet set;
-  set.offsets.push_back(0);
-  for (std::size_t q = 0; q < queries; ++q) {
-    for (std::size_t k = 0; k < per_query; ++k)
-      set.indices.push_back(
-          static_cast<std::int32_t>((q * 7 + k * 13) % train));
-    auto begin = set.indices.end() - static_cast<std::ptrdiff_t>(per_query);
-    std::sort(begin, set.indices.end());
-    set.offsets.push_back(static_cast<std::int32_t>(set.indices.size()));
-  }
-  return set;
-}
-
-TEST(MatcherHw, GatedResultsMatchSoftwareReference) {
-  const auto queries = random_set(32, 612);
-  const auto train = random_set(400, 613);
-  const CandidateSet set = window_lists(queries.size(), train.size(), 9);
-  BriefMatcherHw hw;
-  const auto matches = hw.match_candidates(queries, train, set);
-  ASSERT_EQ(matches.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Match ref =
-        match_one_candidates(queries[i], train, set.candidates(i));
-    EXPECT_EQ(matches[i].train, ref.train);
-    EXPECT_EQ(matches[i].distance, ref.distance);
-    EXPECT_EQ(matches[i].second_best, ref.second_best);
-    EXPECT_EQ(matches[i].query, static_cast<int>(i));
-  }
-  EXPECT_TRUE(hw.report().gated);
-  EXPECT_EQ(hw.report().candidates, set.total_candidates());
-}
-
 TEST(MatcherHw, GatedCyclesTrackCandidateCountNotMapSize) {
   // Same candidate workload against a 10x larger map: compute cycles must
   // not move — simulated FPGA time reflects the gated workload.
-  const auto queries = random_set(64, 614);
-  const auto small = random_set(500, 615);
-  const auto large = random_set(5000, 616);
-  const CandidateSet set = window_lists(queries.size(), small.size(), 8);
+  const CandidateSet set = window_lists(64, 500, 8);
   BriefMatcherHw hw;
-  hw.match_candidates(queries, small, set);
+  hw.simulate_candidates(500, set);
   const std::uint64_t cycles_small = hw.report().total_cycles;
-  hw.match_candidates(queries, large, set);
+  hw.simulate_candidates(5000, set);
   EXPECT_EQ(hw.report().total_cycles, cycles_small);
 }
 
 TEST(MatcherHw, GatedModeIsFasterThanFullScanAtScale) {
   // 1024 queries, 4000-point map, ~24 candidates per query: the gated
   // cycle count must undercut the full scan by well over 3x.
-  const auto queries = random_set(1024, 617);
-  const auto train = random_set(4000, 618);
-  const CandidateSet set = window_lists(queries.size(), train.size(), 24);
+  const CandidateSet set = window_lists(1024, 4000, 24);
   BriefMatcherHw hw;
-  hw.match(queries, train);
+  hw.simulate(1024, 4000);
   const double full_ms = hw.report().ms();
-  hw.match_candidates(queries, train, set);
+  hw.simulate_candidates(4000, set);
   const double gated_ms = hw.report().ms();
   EXPECT_GT(full_ms, 3.0 * gated_ms);
 }
 
-TEST(MatcherHw, GatedEmptyListsAndEmptyMap) {
-  const auto queries = random_set(3, 619);
-  const auto train = random_set(10, 620);
+TEST(MatcherHw, GatedEmptyListsCostOneCyclePerQuery) {
+  // Every list empty: each query still occupies the comparator one cycle.
   CandidateSet set;
-  set.offsets = {0, 0, 0, 0};  // every list empty
+  set.offsets = {0, 0, 0, 0};
   BriefMatcherHw hw;
-  const auto matches = hw.match_candidates(queries, train, set);
-  ASSERT_EQ(matches.size(), queries.size());
-  for (const Match& m : matches) EXPECT_EQ(m.train, -1);
-  EXPECT_TRUE(hw.match_candidates(queries, {}, set).empty());
+  hw.simulate_candidates(10, set);
+  EXPECT_EQ(hw.report().queries, 3);
+  EXPECT_EQ(hw.report().compute_cycles,
+            3u + static_cast<std::uint64_t>(hw.config().pipeline_depth));
 }
 
 }  // namespace

@@ -95,7 +95,8 @@ TEST(FilterHeap, EvictsWeakestWhenFull) {
 TEST(FilterHeap, DrainEmptiesHeap) {
   FilterHeap heap(4);
   for (int i = 0; i < 6; ++i) heap.offer(feat(i));
-  const FeatureList out = heap.drain();
+  FeatureList out;
+  heap.drain_into(out);
   EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(heap.size(), 0u);
 }
@@ -114,7 +115,8 @@ TEST_P(HeapOracle, MatchesSortBasedTopK) {
     scores.push_back(s);
     heap.offer(feat(s, i));
   }
-  FeatureList kept = heap.drain();
+  FeatureList kept;
+  heap.drain_into(kept);
   ASSERT_EQ(kept.size(), capacity);
 
   std::sort(scores.rbegin(), scores.rend());

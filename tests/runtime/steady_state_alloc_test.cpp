@@ -2,7 +2,10 @@
 // work: a steady-state tracked frame performs ZERO heap allocations.
 // This test instruments the global allocator and proves it for both
 // execution modes — sequential Tracker::process() and the pipelined
-// TrackerScheduler — over a window of frames after warm-up.
+// TrackerScheduler — and for the read-only Localizer, over a window of
+// frames after warm-up.  Every case runs over both feature backends: the
+// software ARM baseline and the accelerated eSLAM mode (the simulated
+// fabric, the platform SystemConfig defaults to).
 //
 // Exemptions (by design, documented in tracker.cpp): bootstrap, keyframe
 // insertion, relocalization and the local-mapping backend may allocate —
@@ -28,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "accel/backend_factory.h"
 #include "dataset/sequence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -81,10 +85,20 @@ namespace {
 constexpr int kWarmupFrames = 12;
 constexpr int kWindowFrames = 20;
 
-std::unique_ptr<Tracker> make_tracker(const PinholeCamera& cam) {
+std::unique_ptr<FeatureBackend> make_backend(Platform platform) {
+  if (platform == Platform::kAccelerated) {
+    HwExtractorConfig hw;
+    hw.n_features = 600;
+    return std::make_unique<AcceleratedBackend>(hw);
+  }
   OrbConfig orb;
   orb.n_features = 600;
-  return std::make_unique<Tracker>(cam, std::make_unique<SoftwareBackend>(orb),
+  return std::make_unique<SoftwareBackend>(orb);
+}
+
+std::unique_ptr<Tracker> make_tracker(const PinholeCamera& cam,
+                                      Platform platform) {
+  return std::make_unique<Tracker>(cam, make_backend(platform),
                                    TrackerOptions{});
 }
 
@@ -96,9 +110,11 @@ SyntheticSequence static_sequence() {
   return SyntheticSequence(SequenceId::kFr1Xyz, opts);
 }
 
-TEST(SteadyStateAlloc, SequentialTrackedFrameIsAllocationFree) {
+class SteadyStateAlloc : public ::testing::TestWithParam<Platform> {};
+
+TEST_P(SteadyStateAlloc, SequentialTrackedFrameIsAllocationFree) {
   const SyntheticSequence seq = static_sequence();
-  auto tracker = make_tracker(seq.camera());
+  auto tracker = make_tracker(seq.camera(), GetParam());
   const FrameInput frame = seq.frame(0);
 
   // Warm-up: bootstrap (frame 0, inserts the map) then enough tracked
@@ -136,7 +152,7 @@ TEST(SteadyStateAlloc, SequentialTrackedFrameIsAllocationFree) {
 #endif
 }
 
-TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
+TEST_P(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
   const SyntheticSequence seq = static_sequence();
   const FrameInput frame = seq.frame(0);
 
@@ -144,20 +160,15 @@ TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
   // localizer serves against (backend on, so the snapshot carries a graph).
   std::shared_ptr<const FrozenMap> frozen;
   {
-    OrbConfig orb;
-    orb.n_features = 600;
     TrackerOptions options;
     options.backend.enabled = true;
-    Tracker mapper(seq.camera(), std::make_unique<SoftwareBackend>(orb),
-                   options);
+    Tracker mapper(seq.camera(), make_backend(GetParam()), options);
     for (int i = 0; i < kWarmupFrames; ++i) mapper.process(frame);
     frozen = FrozenMap::from_snapshot(
         capture_snapshot(mapper.map(), mapper.keyframe_graph(), seq.camera()));
   }
 
-  OrbConfig orb;
-  orb.n_features = 600;
-  Localizer localizer(frozen, std::make_unique<SoftwareBackend>(orb));
+  Localizer localizer(frozen, make_backend(GetParam()));
 
   // Warm-up: the cold-start frame (relocalization is exempt by design —
   // it is the entry path, not the steady state) plus enough tracked frames
@@ -196,9 +207,9 @@ TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
 #endif
 }
 
-TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
+TEST_P(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
   const SyntheticSequence seq = static_sequence();
-  auto tracker = make_tracker(seq.camera());
+  auto tracker = make_tracker(seq.camera(), GetParam());
 
   TrackerScheduler scheduler;
   SchedulerSessionOptions session_opts;
@@ -252,6 +263,13 @@ TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
 
   scheduler.remove_session(session);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SteadyStateAlloc,
+    ::testing::Values(Platform::kSoftware, Platform::kAccelerated),
+    [](const ::testing::TestParamInfo<Platform>& info) {
+      return info.param == Platform::kSoftware ? "Software" : "Accelerated";
+    });
 
 }  // namespace
 }  // namespace eslam

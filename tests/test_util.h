@@ -2,10 +2,12 @@
 // synthetic test images, descriptor generators.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
 #include "features/descriptor.h"
+#include "features/matcher.h"
 #include "geometry/se3.h"
 #include "image/image.h"
 
@@ -47,6 +49,23 @@ inline Descriptor256 random_descriptor() {
   std::uniform_int_distribution<std::uint64_t> dist;
   for (auto& w : d.words()) w = dist(rng());
   return d;
+}
+
+// `queries` ascending candidate lists of `per_query` train indices each,
+// spread over a `train`-point map by a fixed stride pattern.
+inline CandidateSet window_lists(std::size_t queries, std::size_t train,
+                                 std::size_t per_query) {
+  CandidateSet set;
+  set.offsets.push_back(0);
+  for (std::size_t q = 0; q < queries; ++q) {
+    for (std::size_t k = 0; k < per_query; ++k)
+      set.indices.push_back(
+          static_cast<std::int32_t>((q * 7 + k * 13) % train));
+    auto begin = set.indices.end() - static_cast<std::ptrdiff_t>(per_query);
+    std::sort(begin, set.indices.end());
+    set.offsets.push_back(static_cast<std::int32_t>(set.indices.size()));
+  }
+  return set;
 }
 
 // A noise image with enough structure for FAST/Harris (hash-based, fully
